@@ -1,5 +1,15 @@
 //! In-order cursor over a POS-Tree — the engine behind scans, bounded
 //! range reads and the subtree-skipping diff.
+//!
+//! The cursor is *lazily positioned*. At a node boundary the position is
+//! the start of the node in the current child slot of the deepest loaded
+//! node: the cursor knows that node's digest (from its parent's child
+//! list) and its level (one below the parent's), but has not fetched it.
+//! A page is fetched only when an entry must be read ([`Cursor::peek`]) or
+//! the walk asks to look inside the pending node ([`Cursor::descend`]).
+//! Scans still read every leaf they emit from; the diff compares the
+//! digests of the nodes starting at a position before it opens any of
+//! them.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -13,6 +23,8 @@ use crate::node::{Node, Piece};
 struct Frame {
     /// Always an `Internal` node.
     node: Arc<Node>,
+    /// The node's level (≥ 1); its children sit one level lower.
+    level: u32,
     idx: usize,
 }
 
@@ -25,8 +37,16 @@ impl Frame {
     }
 }
 
-/// Iterates entries in key order while exposing the node boundaries the
-/// current position sits on, so callers can skip whole shared subtrees.
+fn leaf_entries(node: &Node) -> &[Entry] {
+    match node {
+        Node::Leaf { entries, .. } => entries,
+        Node::Internal { .. } => &[],
+    }
+}
+
+/// Iterates entries in key order while exposing the nodes that start at
+/// the current position, so callers can skip whole shared subtrees
+/// without reading them.
 ///
 /// Nodes are held as `Arc`s straight out of the tree's decoded-node cache
 /// (when one is supplied): advancing across a leaf boundary on a warm
@@ -34,14 +54,14 @@ impl Frame {
 pub struct Cursor {
     store: SharedStore,
     cache: Option<Arc<NodeCache<Node>>>,
-    /// Internal-node frames from the root down; empty when the root is a
-    /// leaf.
+    root: Hash,
+    /// Loaded internal nodes from the root down, each at the child slot
+    /// that holds the position; empty when the root is a leaf.
     stack: Vec<Frame>,
-    /// Hash of the leaf currently being read.
-    leaf_hash: Hash,
-    /// The current leaf node; `None` before the first descent / when done.
-    leaf: Option<Arc<Node>>,
-    leaf_idx: usize,
+    /// The loaded leaf holding the position and the entry index in it.
+    /// `None` while the position is the start of the unloaded node in the
+    /// top frame's current slot.
+    leaf: Option<(Arc<Node>, usize)>,
     done: bool,
 }
 
@@ -50,27 +70,24 @@ impl Cursor {
         Self::with_cache(store, None, root)
     }
 
-    /// A cursor whose node loads go through `cache`. The cursor owns its
-    /// store and cache handles (both are `Arc`s), so it is `'static` and
-    /// can outlive the index handle that spawned it.
+    /// A cursor at the first entry, with node loads through `cache`. The
+    /// root is loaded here; everything below it is loaded on demand. The
+    /// cursor owns its store and cache handles (both are `Arc`s), so it is
+    /// `'static` and can outlive the index handle that spawned it.
     pub fn with_cache(
         store: SharedStore,
         cache: Option<Arc<NodeCache<Node>>>,
         root: Hash,
     ) -> Result<Self> {
-        let mut c = Cursor {
-            store,
-            cache,
-            stack: Vec::new(),
-            leaf_hash: Hash::ZERO,
-            leaf: None,
-            leaf_idx: 0,
-            done: root.is_zero(),
-        };
+        let mut c = Cursor::at_root(store, cache, root);
         if !c.done {
-            c.descend_to_first_leaf(root)?;
+            c.descend()?;
         }
         Ok(c)
+    }
+
+    fn at_root(store: SharedStore, cache: Option<Arc<NodeCache<Node>>>, root: Hash) -> Self {
+        Cursor { store, cache, root, stack: Vec::new(), leaf: None, done: root.is_zero() }
     }
 
     fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
@@ -84,129 +101,113 @@ impl Cursor {
         }
     }
 
-    fn leaf_entries(&self) -> &[Entry] {
-        match self.leaf.as_deref() {
-            Some(Node::Leaf { entries, .. }) => entries,
-            _ => &[],
+    /// Level of the pending (unloaded) node at the position, or `None`
+    /// when a leaf is loaded or the cursor is done.
+    pub(crate) fn pending_level(&self) -> Option<u32> {
+        if self.done || self.leaf.is_some() {
+            return None;
         }
+        self.stack.last().map(|f| f.level - 1)
     }
 
-    fn descend_to_first_leaf(&mut self, mut hash: Hash) -> Result<()> {
-        loop {
-            let node = self.fetch(&hash)?;
-            match &*node {
-                Node::Leaf { entries, .. } => {
-                    if entries.is_empty() {
-                        return Err(IndexError::CorruptStructure("empty stored leaf"));
-                    }
-                    self.leaf_hash = hash;
-                    self.leaf = Some(node);
-                    self.leaf_idx = 0;
-                    return Ok(());
+    /// Load the node in the current slot. An internal node becomes a frame
+    /// on its first child; a leaf becomes the current leaf at its first
+    /// entry. Checks the page's level against the parent's.
+    pub(crate) fn descend(&mut self) -> Result<()> {
+        debug_assert!(!self.done && self.leaf.is_none());
+        let expected = self.stack.last().map(|f| f.level - 1);
+        let node = self.fetch(&self.start_hash(0))?;
+        match &*node {
+            Node::Leaf { entries, .. } => {
+                if entries.is_empty() {
+                    return Err(IndexError::CorruptStructure("empty stored leaf"));
                 }
-                Node::Internal { children, .. } => {
-                    hash = children[0].hash;
-                    self.stack.push(Frame { node: node.clone(), idx: 0 });
+                if expected.is_some_and(|l| l != 0) {
+                    return Err(IndexError::CorruptStructure("level mismatch"));
                 }
+                self.leaf = Some((node, 0));
             }
-        }
-    }
-
-    /// The entry at the current position.
-    pub fn peek(&self) -> Option<&Entry> {
-        if self.done {
-            None
-        } else {
-            self.leaf_entries().get(self.leaf_idx)
-        }
-    }
-
-    /// Move to the next entry.
-    pub fn advance(&mut self) -> Result<()> {
-        if self.done {
-            return Ok(());
-        }
-        self.leaf_idx += 1;
-        if self.leaf_idx >= self.leaf_entries().len() {
-            self.move_to_next_leaf()?;
+            &Node::Internal { level, .. } => {
+                if level == 0 || expected.is_some_and(|l| l != level) {
+                    return Err(IndexError::CorruptStructure("level mismatch"));
+                }
+                self.stack.push(Frame { node, level, idx: 0 });
+            }
         }
         Ok(())
     }
 
-    fn move_to_next_leaf(&mut self) -> Result<()> {
-        loop {
-            let Some(frame) = self.stack.last_mut() else {
-                self.done = true;
-                return Ok(());
-            };
-            frame.idx += 1;
-            if frame.idx < frame.children().len() {
-                let hash = frame.children()[frame.idx].hash;
-                return self.descend_to_first_leaf(hash);
-            }
-            self.stack.pop();
+    /// Descend until a leaf holds the position (or the cursor is done).
+    fn settle(&mut self) -> Result<()> {
+        while !self.done && self.leaf.is_none() {
+            self.descend()?;
         }
+        Ok(())
     }
 
-    /// Hashes of every node whose *first* entry is the current position,
-    /// innermost (leaf) first. Non-empty only at leaf starts.
-    pub fn start_hashes(&self) -> Vec<Hash> {
-        let mut out = Vec::new();
-        if self.done || self.leaf_idx != 0 {
-            return out;
-        }
-        out.push(self.leaf_hash);
-        // Walking outward, the node at depth i starts here iff every deeper
-        // frame sits on its first child. (The root itself is excluded:
-        // callers compare roots before cursoring.)
-        for i in (1..self.stack.len()).rev() {
-            if self.stack[i].idx != 0 {
-                break;
-            }
-            let f = &self.stack[i - 1];
-            out.push(f.children()[f.idx].hash);
-        }
-        out
+    /// The entry at the current position, loading its leaf if needed.
+    pub fn peek(&mut self) -> Result<Option<&Entry>> {
+        self.settle()?;
+        Ok(self.leaf.as_ref().and_then(|(node, idx)| leaf_entries(node).get(*idx)))
     }
 
-    /// Skip the subtree whose root has `hash`, which must be one of
-    /// [`Cursor::start_hashes`]. Positions the cursor at the first entry
-    /// after that subtree.
-    pub fn skip_subtree(&mut self, hash: Hash) -> Result<()> {
-        debug_assert!(!self.done);
-        if self.leaf_hash == hash {
-            self.move_to_next_leaf()?;
+    /// Move to the next entry. Stepping off the end of a leaf reads
+    /// nothing: the cursor then waits, unloaded, at the start of the next
+    /// node.
+    pub fn advance(&mut self) -> Result<()> {
+        self.settle()?;
+        let Some((node, idx)) = &mut self.leaf else {
             return Ok(());
-        }
-        // Find the frame whose current child is the subtree.
-        let Some(depth) = self.stack.iter().position(|f| f.children()[f.idx].hash == hash) else {
-            return Err(IndexError::CorruptStructure("skip target not on cursor path"));
         };
-        self.stack.truncate(depth + 1);
-        let frame = self.stack.last_mut().expect("non-empty");
-        frame.idx += 1;
-        if frame.idx < frame.children().len() {
-            let next = frame.children()[frame.idx].hash;
-            self.descend_to_first_leaf(next)
-        } else {
-            self.stack.pop();
-            self.move_up_and_descend()
+        *idx += 1;
+        if *idx >= leaf_entries(node).len() {
+            self.next_node();
         }
+        Ok(())
     }
 
-    fn move_up_and_descend(&mut self) -> Result<()> {
-        loop {
-            let Some(frame) = self.stack.last_mut() else {
-                self.done = true;
-                return Ok(());
-            };
-            frame.idx += 1;
-            if frame.idx < frame.children().len() {
-                let hash = frame.children()[frame.idx].hash;
-                return self.descend_to_first_leaf(hash);
+    /// Move past the node in the current slot to the start of the next
+    /// one, climbing out of exhausted frames. Reads nothing.
+    fn next_node(&mut self) {
+        self.leaf = None;
+        while let Some(f) = self.stack.last_mut() {
+            f.idx += 1;
+            if f.idx < f.children().len() {
+                return;
             }
             self.stack.pop();
         }
+        self.done = true;
+    }
+
+    /// How many nodes start at the current position: the node in the
+    /// current slot, then each enclosing node (up to the root) whose first
+    /// entry is the position. Zero mid-leaf and when done.
+    pub(crate) fn start_depth(&self) -> usize {
+        if self.done || matches!(self.leaf, Some((_, idx)) if idx > 0) {
+            return 0;
+        }
+        1 + self.stack.iter().rev().take_while(|f| f.idx == 0).count()
+    }
+
+    /// Digest of the `k`-th node starting at the position, innermost
+    /// first (`k < start_depth()`); known without reading any page.
+    pub(crate) fn start_hash(&self, k: usize) -> Hash {
+        match (self.stack.len() - k).checked_sub(1) {
+            Some(i) => {
+                let f = &self.stack[i];
+                f.children()[f.idx].hash
+            }
+            None => self.root,
+        }
+    }
+
+    /// Skip the `k`-th node starting at the position (see
+    /// [`Cursor::start_hash`]) and its whole subtree, reading nothing.
+    pub(crate) fn skip_start(&mut self, k: usize) {
+        debug_assert!(k < self.start_depth());
+        self.stack.truncate(self.stack.len() - k);
+        self.next_node();
     }
 
     pub fn is_done(&self) -> bool {
@@ -226,47 +227,26 @@ impl Cursor {
         root: Hash,
         key: &[u8],
     ) -> Result<Self> {
-        let mut c = Cursor {
-            store,
-            cache,
-            stack: Vec::new(),
-            leaf_hash: Hash::ZERO,
-            leaf: None,
-            leaf_idx: 0,
-            done: root.is_zero(),
-        };
-        if c.done {
-            return Ok(c);
-        }
-        let mut hash = root;
-        loop {
-            let node = c.fetch(&hash)?;
-            match &*node {
-                Node::Leaf { entries, .. } => {
-                    if entries.is_empty() {
-                        return Err(IndexError::CorruptStructure("empty stored leaf"));
-                    }
-                    let idx = entries.partition_point(|e| e.key.as_ref() < key);
-                    c.leaf_hash = hash;
-                    c.leaf = Some(node.clone());
-                    c.leaf_idx = idx;
-                    if c.leaf_idx >= c.leaf_entries().len() {
-                        // Key is beyond this leaf (can only happen on the
-                        // rightmost spine): move on.
-                        c.move_to_next_leaf()?;
-                    }
-                    return Ok(c);
+        let mut c = Cursor::at_root(store, cache, root);
+        while !c.done {
+            c.descend()?;
+            if let Some((node, idx)) = &mut c.leaf {
+                *idx = leaf_entries(node).partition_point(|e| e.key.as_ref() < key);
+                if *idx >= leaf_entries(node).len() {
+                    // Key is beyond this leaf (can only happen on the
+                    // rightmost spine): move on.
+                    c.next_node();
                 }
-                Node::Internal { children, .. } => {
-                    // First child whose max_key ≥ key; clamp to the right
-                    // so seeks past the maximum land at stream end.
-                    let slot = children.partition_point(|p| p.max_key.as_ref() < key);
-                    let slot = slot.min(children.len() - 1);
-                    hash = children[slot].hash;
-                    c.stack.push(Frame { node: node.clone(), idx: slot });
-                }
+                break;
+            }
+            if let Some(f) = c.stack.last_mut() {
+                // First child whose max_key ≥ key; clamp to the right so
+                // seeks past the maximum land at stream end.
+                let slot = f.children().partition_point(|p| p.max_key.as_ref() < key);
+                f.idx = slot.min(f.children().len() - 1);
             }
         }
+        Ok(c)
     }
 }
 
@@ -280,47 +260,37 @@ pub(crate) struct RangeIter {
     pub(crate) cursor: Cursor,
     pub(crate) start: Bound<Vec<u8>>,
     pub(crate) end: Bound<Vec<u8>>,
-    /// Error hit while advancing *past* an entry that was already read and
-    /// in bounds; delivered on the call after that entry, so a failing
-    /// next-leaf fetch never swallows the last readable entry.
-    pub(crate) pending_err: Option<siri_core::IndexError>,
     pub(crate) done: bool,
+}
+
+impl RangeIter {
+    /// The entry at the position, and move past it. Only the peek reads
+    /// pages, so an entry is never lost to a failing fetch of the next
+    /// leaf: that error surfaces on the following call.
+    fn step(&mut self) -> Result<Option<Entry>> {
+        let entry = self.cursor.peek()?.cloned();
+        self.cursor.advance()?;
+        Ok(entry)
+    }
 }
 
 impl Iterator for RangeIter {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        loop {
-            let Some(entry) = self.cursor.peek().cloned() else {
-                self.done = true;
-                return None;
-            };
-            if past_end(&self.end, &entry.key) {
-                self.done = true;
-                return None;
-            }
-            let skipped = before_start(&self.start, &entry.key);
-            if let Err(e) = self.cursor.advance() {
-                if skipped {
+        while !self.done {
+            match self.step() {
+                // Exclusive start: skip the seeked-to match.
+                Ok(Some(entry)) if before_start(&self.start, &entry.key) => continue,
+                Ok(Some(entry)) if !past_end(&self.end, &entry.key) => return Some(Ok(entry)),
+                Ok(_) => self.done = true,
+                Err(e) => {
                     self.done = true;
                     return Some(Err(e));
                 }
-                self.pending_err = Some(e);
-                return Some(Ok(entry));
             }
-            if skipped {
-                continue; // exclusive start: skip the seeked-to match
-            }
-            return Some(Ok(entry));
         }
+        None
     }
 }
 
@@ -330,11 +300,21 @@ mod tests {
     use crate::update::build_from_entries;
     use crate::PosParams;
     use siri_core::MemStore;
+    use siri_store::NodeStore;
 
     fn entries(n: usize) -> Vec<Entry> {
         (0..n)
             .map(|i| Entry::new(format!("key{i:05}").into_bytes(), vec![(i % 251) as u8; 100]))
             .collect()
+    }
+
+    fn drain(c: &mut Cursor) -> Vec<Entry> {
+        let mut seen = Vec::new();
+        while let Some(e) = c.peek().unwrap() {
+            seen.push(e.clone());
+            c.advance().unwrap();
+        }
+        seen
     }
 
     #[test]
@@ -343,12 +323,7 @@ mod tests {
         let es = entries(2500);
         let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
         let mut c = Cursor::new(store.clone(), root.hash).unwrap();
-        let mut seen = Vec::new();
-        while let Some(e) = c.peek() {
-            seen.push(e.clone());
-            c.advance().unwrap();
-        }
-        assert_eq!(seen, es);
+        assert_eq!(drain(&mut c), es);
         assert!(c.is_done());
     }
 
@@ -359,13 +334,7 @@ mod tests {
         let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
         let cache = NodeCache::new_shared(4096);
         let collect = |cache: Option<Arc<NodeCache<Node>>>| {
-            let mut c = Cursor::with_cache(store.clone(), cache, root.hash).unwrap();
-            let mut seen = Vec::new();
-            while let Some(e) = c.peek() {
-                seen.push(e.clone());
-                c.advance().unwrap();
-            }
-            seen
+            drain(&mut Cursor::with_cache(store.clone(), cache, root.hash).unwrap())
         };
         assert_eq!(collect(Some(cache.clone())), es, "cold cached scan");
         let misses_after_first = cache.stats().misses;
@@ -377,9 +346,29 @@ mod tests {
     #[test]
     fn empty_tree_cursor() {
         let store = MemStore::new_shared();
-        let c = Cursor::new(store, Hash::ZERO).unwrap();
-        assert!(c.peek().is_none());
+        let mut c = Cursor::new(store, Hash::ZERO).unwrap();
+        assert!(c.peek().unwrap().is_none());
         assert!(c.is_done());
+    }
+
+    #[test]
+    fn positions_are_lazy() {
+        let store = MemStore::new_shared();
+        let es = entries(2500);
+        let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
+        let gets = || store.stats().gets;
+        let before = gets();
+        let mut c = Cursor::new(store.clone(), root.hash).unwrap();
+        assert_eq!(gets() - before, 1, "construction loads the root only");
+        assert!(c.pending_level().is_some());
+        // Skipping the whole first child of the root reads nothing.
+        let depth = c.start_depth();
+        c.skip_start(depth - 2);
+        assert_eq!(gets() - before, 1);
+        // Reading an entry loads exactly the path down to its leaf.
+        let height = c.pending_level().unwrap() as u64 + 1;
+        assert!(c.peek().unwrap().is_some());
+        assert_eq!(gets() - before, 1 + height);
     }
 
     #[test]
@@ -388,11 +377,13 @@ mod tests {
         let es = entries(2500);
         let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
         let mut c = Cursor::new(store.clone(), root.hash).unwrap();
-        // At position 0 the leaf (and possibly enclosing nodes) start here.
-        let starts = c.start_hashes();
-        assert!(!starts.is_empty());
+        // At position 0 every node on the left spine starts here; the
+        // outermost is the root itself.
+        let depth = c.start_depth();
+        assert!(depth >= 2);
+        assert_eq!(c.start_hash(depth - 1), root.hash);
         c.advance().unwrap();
-        assert!(c.start_hashes().is_empty(), "mid-leaf positions are not starts");
+        assert_eq!(c.start_depth(), 0, "mid-leaf positions are not starts");
     }
 
     #[test]
@@ -400,23 +391,25 @@ mod tests {
         let store = MemStore::new_shared();
         let es = entries(2500);
         let root = build_from_entries(&store, &PosParams::default(), 0, &es).unwrap().unwrap();
-        // Reference iteration to know leaf extents.
+        // Reference iteration to learn the first leaf's length.
         let mut reference = Cursor::new(store.clone(), root.hash).unwrap();
-        let leaf_hash = reference.start_hashes()[0];
         let mut leaf_len = 0;
-        while reference.peek().is_some() {
-            if reference.start_hashes().first() == Some(&leaf_hash) && leaf_len > 0 {
-                break;
-            }
-            leaf_len += 1;
+        loop {
             reference.advance().unwrap();
-            if !reference.start_hashes().is_empty() {
+            leaf_len += 1;
+            if reference.start_depth() > 0 {
                 break; // reached the next leaf start
             }
         }
-        // Now skip that first leaf with a fresh cursor and compare.
+        // Now skip that first leaf with a fresh cursor and compare. Once
+        // the leaf is loaded it is the innermost node starting here.
         let mut c = Cursor::new(store.clone(), root.hash).unwrap();
-        c.skip_subtree(leaf_hash).unwrap();
-        assert_eq!(c.peek().map(|e| e.key.clone()), Some(es[leaf_len].key.clone()));
+        c.peek().unwrap();
+        c.skip_start(0);
+        assert_eq!(c.peek().unwrap().map(|e| e.key.clone()), Some(es[leaf_len].key.clone()));
+        // Skipping the root exhausts the cursor.
+        let mut c = Cursor::new(store, root.hash).unwrap();
+        c.skip_start(c.start_depth() - 1);
+        assert!(c.is_done());
     }
 }

@@ -314,7 +314,6 @@ impl SiriIndex for PosTree {
                 cursor,
                 start,
                 end: own_bound(end),
-                pending_err: None,
                 done: false,
             }),
             Err(e) => EntryCursor::fail(e),

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use siri::{
-    diff_by_scan, merge, Entry, IndexFactory, MbtFactory, MemStore, MergeStrategy, MptFactory,
-    MvmbFactory, MvmbParams, PosFactory, PosParams, SiriIndex,
+    diff_by_scan, merge, merge_with_base, Entry, IndexFactory, MbtFactory, MemStore, MergeStrategy,
+    MptFactory, MvmbFactory, MvmbParams, PosFactory, PosParams, PosTree, SiriIndex, WriteBatch,
 };
 
 /// Random small key/value pairs; keys constrained to provoke shared
@@ -28,6 +28,60 @@ fn to_entries(raw: &[(Vec<u8>, Vec<u8>)]) -> Vec<Entry> {
 
 fn model(raw: &[(Vec<u8>, Vec<u8>)]) -> BTreeMap<Vec<u8>, Vec<u8>> {
     raw.iter().cloned().collect()
+}
+
+/// Base size for the multi-level diff property: large enough for a POS-Tree
+/// of three or more levels.
+const BASE_KEYS: usize = 3000;
+
+fn base_key(i: usize) -> Vec<u8> {
+    format!("k{i:05}").into_bytes()
+}
+
+/// Random puts and deletes against the base built by [`multi_level_base`],
+/// which holds the even indices below `2 * BASE_KEYS`: an odd index puts a
+/// new key between two base keys, an even one edits or deletes a base key.
+fn arb_edits() -> impl Strategy<Value = Vec<(usize, bool, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            0..2 * BASE_KEYS,
+            proptest::bool::ANY,
+            proptest::collection::vec(proptest::num::u8::ANY, 0..24),
+        ),
+        0..200,
+    )
+}
+
+fn multi_level_base() -> (PosTree, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let model: BTreeMap<_, _> =
+        (0..BASE_KEYS).map(|i| (base_key(2 * i), vec![(i % 251) as u8; 100])).collect();
+    let mut tree = PosTree::new(MemStore::new_shared(), PosParams::default());
+    tree.batch_insert(model.iter().map(|(k, v)| Entry::new(k.clone(), v.clone())).collect())
+        .unwrap();
+    assert!(tree.height().unwrap() >= 3, "base must span three levels");
+    (tree, model)
+}
+
+/// Commit `edits` onto a copy of `base`, mirroring them into a copy of
+/// `model`.
+fn apply_edits(
+    base: &PosTree,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    edits: &[(usize, bool, Vec<u8>)],
+) -> (PosTree, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let (mut tree, mut model) = (base.clone(), model.clone());
+    let mut batch = WriteBatch::new();
+    for (i, delete, value) in edits {
+        if *delete {
+            batch.delete(base_key(*i));
+            model.remove(&base_key(*i));
+        } else {
+            batch.put(base_key(*i), value.clone());
+            model.insert(base_key(*i), value.clone());
+        }
+    }
+    tree.commit(batch).unwrap();
+    (tree, model)
 }
 
 fn check_matches_model<I: SiriIndex>(idx: &I, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
@@ -131,6 +185,45 @@ proptest! {
         // And merging right into the merged index is then conflict-free.
         let again = merge(&outcome.merged, &right, MergeStrategy::Strict).unwrap();
         prop_assert_eq!(again.added_from_right, 0);
+    }
+
+    /// The structural diff on trees of three or more levels, where the
+    /// walk compares digests of unloaded nodes at level 2 and above: it
+    /// must equal the scan diff both ways, and a three-way merge built on
+    /// it must equal the model.
+    #[test]
+    fn multi_level_diff_matches_scan_and_three_way_merge_matches_model(
+        left_edits in arb_edits(),
+        right_edits in arb_edits(),
+    ) {
+        let (base, base_model) = multi_level_base();
+        let (left, left_model) = apply_edits(&base, &base_model, &left_edits);
+        let (right, right_model) = apply_edits(&base, &base_model, &right_edits);
+
+        prop_assert_eq!(left.diff(&right).unwrap(), diff_by_scan(&left, &right).unwrap());
+        prop_assert_eq!(right.diff(&left).unwrap(), diff_by_scan(&right, &left).unwrap());
+        prop_assert_eq!(base.diff(&right).unwrap(), diff_by_scan(&base, &right).unwrap());
+
+        // PreferRight: every key the right side changed since the base
+        // takes its right-side state; every other key keeps the left's.
+        let mut expect = left_model;
+        for k in base_model.keys().chain(right_model.keys()) {
+            match right_model.get(k) {
+                Some(v) if base_model.get(k) != Some(v) => {
+                    expect.insert(k.clone(), v.clone());
+                }
+                None => {
+                    expect.remove(k);
+                }
+                Some(_) => {}
+            }
+        }
+        let merged = merge_with_base(&base, &left, &right, MergeStrategy::PreferRight)
+            .unwrap()
+            .merged;
+        let got: BTreeMap<Vec<u8>, Vec<u8>> =
+            merged.scan().unwrap().into_iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]
