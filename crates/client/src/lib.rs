@@ -291,12 +291,7 @@ impl RemoteSession {
     /// returned bytes are exactly what the trusted branch digest commits
     /// to, or the call fails — a lying server cannot substitute a value.
     pub fn verified_get(&self, branch: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        let (digest, proof) = Session::prove(self, branch, key)?;
-        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
-            ProofVerdict::Present(v) => Ok(Some(v)),
-            ProofVerdict::Absent => Ok(None),
-            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-        }
+        self.proven_get(branch, key).map(|(_, _, value)| value)
     }
 
     /// A range scan with a completeness guarantee: returns exactly the
@@ -308,20 +303,60 @@ impl RemoteSession {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<Vec<Entry>> {
-        let (digest, proof) = Session::prove_range(self, branch, start, end)?;
-        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
-            RangeVerdict::Complete(entries) => Ok(entries),
-            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-        }
+        self.proven_scan(branch, start, end).map(|(_, _, entries)| entries)
     }
 
     /// Batched verified lookups: one deduplicated proof covers every key;
     /// per-key verdicts come back in input order.
     pub fn verified_get_many(&self, branch: &str, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
-        let (digest, proof) = Session::prove_batch(self, branch, keys)?;
+        self.proven_get_many(branch, keys).map(|(_, _, values)| values)
+    }
+
+    /// Fetch a membership proof and verify it, once, against the trusted
+    /// digest: the proof plus the value it proves.
+    fn proven_get(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof, Option<Bytes>)> {
+        let req = Request::Prove { branch: branch.to_string(), key: Bytes::copy_from_slice(key) };
+        let (digest, proof) = self.checked_proof(branch, &req, "Prove")?;
+        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
+            ProofVerdict::Present(v) => Ok((digest, proof, Some(v))),
+            ProofVerdict::Absent => Ok((digest, proof, None)),
+            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
+        }
+    }
+
+    /// [`RemoteSession::proven_get`] for a range proof: the proof plus the
+    /// complete entry list it proves.
+    fn proven_scan(
+        &self,
+        branch: &str,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> Result<(Hash, Proof, Vec<Entry>)> {
+        let req = Request::ProveRange {
+            branch: branch.to_string(),
+            start: WireBound::from_bound(start),
+            end: WireBound::from_bound(end),
+        };
+        let (digest, proof) = self.checked_proof(branch, &req, "ProveRange")?;
+        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
+            RangeVerdict::Complete(entries) => Ok((digest, proof, entries)),
+            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
+        }
+    }
+
+    /// [`RemoteSession::proven_get`] for a batched proof: the proof plus
+    /// one proven value per key, in input order.
+    fn proven_get_many(
+        &self,
+        branch: &str,
+        keys: &[Bytes],
+    ) -> Result<(Hash, Proof, Vec<Option<Bytes>>)> {
+        let req = Request::ProveBatch { branch: branch.to_string(), keys: keys.to_vec() };
+        let (digest, proof) = self.checked_proof(branch, &req, "ProveBatch")?;
         match verify_anchored_batch(self.opts.scheme, digest, keys, &proof) {
             BatchVerdict::Verified(verdicts) => {
-                Ok(verdicts.into_iter().map(|v| v.value().cloned()).collect())
+                let values = verdicts.into_iter().map(|v| v.value().cloned()).collect();
+                Ok((digest, proof, values))
             }
             BatchVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
         }
@@ -388,12 +423,7 @@ impl Session for RemoteSession {
     }
 
     fn prove(&self, branch: &str, key: &[u8]) -> Result<(Hash, Proof)> {
-        let req = Request::Prove { branch: branch.to_string(), key: Bytes::copy_from_slice(key) };
-        let (digest, proof) = self.checked_proof(branch, &req, "Prove")?;
-        match verify_anchored_membership(self.opts.scheme, digest, key, &proof) {
-            ProofVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            _ => Ok((digest, proof)),
-        }
+        self.proven_get(branch, key).map(|(digest, proof, _)| (digest, proof))
     }
 
     fn prove_range(
@@ -402,25 +432,11 @@ impl Session for RemoteSession {
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<(Hash, Proof)> {
-        let req = Request::ProveRange {
-            branch: branch.to_string(),
-            start: WireBound::from_bound(start),
-            end: WireBound::from_bound(end),
-        };
-        let (digest, proof) = self.checked_proof(branch, &req, "ProveRange")?;
-        match verify_anchored_range(self.opts.scheme, digest, start, end, &proof) {
-            RangeVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            RangeVerdict::Complete(_) => Ok((digest, proof)),
-        }
+        self.proven_scan(branch, start, end).map(|(digest, proof, _)| (digest, proof))
     }
 
     fn prove_batch(&self, branch: &str, keys: &[Bytes]) -> Result<(Hash, Proof)> {
-        let req = Request::ProveBatch { branch: branch.to_string(), keys: keys.to_vec() };
-        let (digest, proof) = self.checked_proof(branch, &req, "ProveBatch")?;
-        match verify_anchored_batch(self.opts.scheme, digest, keys, &proof) {
-            BatchVerdict::Invalid(why) => Err(IndexError::ProofRejected(why)),
-            BatchVerdict::Verified(_) => Ok((digest, proof)),
-        }
+        self.proven_get_many(branch, keys).map(|(digest, proof, _)| (digest, proof))
     }
 }
 

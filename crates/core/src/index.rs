@@ -4,15 +4,16 @@
 //! scans, comparison (diff), merge, plus the page-set accessor feeding the
 //! deduplication metrics.
 
+use std::collections::HashSet;
 use std::ops::Bound;
 
 use bytes::Bytes;
 
-use siri_crypto::Hash;
+use siri_crypto::{sha256, Hash};
 use siri_store::{PageSet, SharedStore};
 
 use crate::cursor::{prefix_successor, EntryCursor};
-use crate::{DiffEntry, Entry, IndexError, Proof, ProofVerdict, Result, WriteBatch};
+use crate::{DiffEntry, Entry, IndexError, Proof, Result, WriteBatch};
 
 /// Instrumentation captured by [`SiriIndex::get_traced`].
 ///
@@ -188,16 +189,18 @@ pub trait SiriIndex: Clone + Send + Sync {
     }
 
     /// Produce one proof for many keys, deduplicating the interior pages
-    /// their paths share (see [`crate::verify_anchored_batch`]). The
-    /// default refuses — the four real structures override it.
+    /// their paths share (see [`crate::verify_anchored_batch`]): each
+    /// key's membership proof, with every page kept once by content hash.
     fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let _ = keys;
-        Err(IndexError::Unsupported("batched proofs"))
+        let mut pages = Vec::new();
+        let mut seen = HashSet::new();
+        for key in keys {
+            for page in self.prove(key)?.into_pages() {
+                if seen.insert(sha256(&page)) {
+                    pages.push(page);
+                }
+            }
+        }
+        Ok(Proof::new(pages))
     }
-
-    /// Verify a proof against a trusted root digest. An associated function
-    /// on purpose: verifiers hold only the digest, not the store.
-    fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict
-    where
-        Self: Sized;
 }

@@ -16,7 +16,9 @@
 //! * [`cost_model`] — the closed-form operation bounds of §4.1, used to
 //!   cross-check measured asymptotics;
 //! * [`siri_properties`] — executable checks of the three SIRI properties
-//!   from Definition 3.1.
+//!   from Definition 3.1;
+//! * [`routed`] — the key-routed walks (lookup, proofs, cursor) POS-Tree
+//!   and the MVMB+-Tree share.
 
 mod batch;
 mod cursor;
@@ -34,6 +36,7 @@ mod version;
 pub mod cost_model;
 pub mod entry_codec;
 pub mod metrics;
+pub mod routed;
 pub mod siri_properties;
 
 pub use batch::{apply_ops, BatchOp, CommitInfo, Op, WriteBatch};

@@ -90,12 +90,9 @@ pub trait ProofScheme: Send + Sync {
     /// Structure name as reported by `SiriIndex::kind` / factory `name`.
     fn structure(&self) -> &'static str;
 
-    /// Verify a single-key path proof against an (unsharded) index root —
-    /// the classic membership/non-membership check.
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict;
-
     /// Re-walk one key's root→leaf path through a [`PagePool`] — the
-    /// batched-proof primitive, where paths share interior pages.
+    /// membership and batched-proof primitive (a batch's paths share
+    /// interior pages).
     fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict;
 
     /// Re-walk every subtree of `root` overlapping `[start, end)` through
@@ -204,8 +201,8 @@ pub fn child_overlaps(
     !below_start && !above_end
 }
 
-/// Anchor check shared by the three anchored verifiers: hash the first
-/// page against the trusted digest, then classify it — a manifest page
+/// Anchor check shared by the anchored verifiers: hash the first page
+/// against the trusted digest, then classify it — a manifest page
 /// (sharded branch: route sub-walks at the manifest's sub-roots over the
 /// remaining pages) or an index root page (unsharded: walk everything from
 /// the digest itself).
@@ -225,31 +222,76 @@ fn anchor(digest: Hash, proof: &Proof) -> Result<Option<(ShardManifest, &[Bytes]
     }
 }
 
+/// Anchor `proof` at a non-zero `digest`, pool the pages below the
+/// anchor, run `walk` over them — with the manifest on a sharded branch —
+/// and require every pooled page to have been used.
+fn walk_anchored<T>(
+    digest: Hash,
+    proof: &Proof,
+    walk: impl FnOnce(&mut PagePool, Option<&ShardManifest>) -> Result<T, &'static str>,
+) -> Result<T, &'static str> {
+    let (manifest, pages) = match anchor(digest, proof)? {
+        None => (None, proof.pages()),
+        Some((manifest, rest)) => (Some(manifest), rest),
+    };
+    let mut pool = PagePool::build(pages)?;
+    let out = walk(&mut pool, manifest.as_ref())?;
+    pool.all_used().then_some(out).ok_or("unused pages in proof")
+}
+
+/// Walk each key's path from its sub-root (its shard's root, or the
+/// digest itself when unsharded) through one shared pool. Any structural
+/// invalidity rejects the whole proof.
+fn verify_keys<K: AsRef<[u8]>>(
+    scheme: &dyn ProofScheme,
+    digest: Hash,
+    keys: &[K],
+    proof: &Proof,
+) -> Result<Vec<ProofVerdict>, &'static str> {
+    if digest.is_zero() {
+        return if proof.is_empty() {
+            Ok(vec![ProofVerdict::Absent; keys.len()])
+        } else {
+            Err("non-empty proof for an empty digest")
+        };
+    }
+    walk_anchored(digest, proof, |pool, manifest| {
+        let router = manifest.map(ShardManifest::router);
+        let mut verdicts = Vec::with_capacity(keys.len());
+        for key in keys {
+            let key = key.as_ref();
+            let root = match (manifest, &router) {
+                (Some(m), Some(r)) => m.roots[r.shard_of(key)],
+                _ => digest,
+            };
+            let verdict = if root.is_zero() {
+                ProofVerdict::Absent
+            } else {
+                scheme.verify_key_pages(root, key, pool)
+            };
+            if let ProofVerdict::Invalid(why) = verdict {
+                return Err(why);
+            }
+            verdicts.push(verdict);
+        }
+        Ok(verdicts)
+    })
+}
+
 /// Verify a membership/non-membership proof against a trusted *branch
 /// digest* — manifest or bare root, the caller does not need to know which
 /// (that is the point: `branch_digest` is the only hash a light client
-/// holds).
+/// holds). The key's path is re-walked through a [`PagePool`], and every
+/// supplied page must lie on it.
 pub fn verify_anchored_membership(
     scheme: &dyn ProofScheme,
     digest: Hash,
     key: &[u8],
     proof: &Proof,
 ) -> ProofVerdict {
-    if digest.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for an empty digest")
-        };
-    }
-    match anchor(digest, proof) {
+    match verify_keys(scheme, digest, &[key], proof) {
+        Ok(mut verdicts) => verdicts.pop().unwrap_or(ProofVerdict::Invalid("no verdict")),
         Err(why) => ProofVerdict::Invalid(why),
-        Ok(None) => scheme.verify_membership(digest, key, proof),
-        Ok(Some((manifest, rest))) => {
-            let shard = manifest.router().shard_of(key);
-            let sub = Proof::new(rest.to_vec());
-            scheme.verify_membership(manifest.roots[shard], key, &sub)
-        }
     }
 }
 
@@ -271,33 +313,27 @@ pub fn verify_anchored_range(
             RangeVerdict::Invalid("non-empty proof for an empty digest")
         };
     }
-    let mut out = Vec::new();
-    let walked = match anchor(digest, proof) {
-        Err(why) => Err(why),
-        Ok(None) => PagePool::build(proof.pages()).and_then(|mut pool| {
-            scheme.verify_range_pages(digest, start, end, &mut pool, &mut out)?;
-            pool.all_used().then_some(()).ok_or("unused pages in proof")
-        }),
-        Ok(Some((manifest, rest))) => PagePool::build(rest).and_then(|mut pool| {
-            let router = manifest.router();
-            let (lo, hi) = router.covering(start, end);
-            for root in &manifest.roots[lo..=hi] {
-                if root.is_zero() {
-                    continue;
+    let walked = walk_anchored(digest, proof, |pool, manifest| {
+        let mut out = Vec::new();
+        match manifest {
+            None => scheme.verify_range_pages(digest, start, end, pool, &mut out)?,
+            Some(manifest) => {
+                let (lo, hi) = manifest.router().covering(start, end);
+                for root in &manifest.roots[lo..=hi] {
+                    if !root.is_zero() {
+                        scheme.verify_range_pages(*root, start, end, pool, &mut out)?;
+                    }
                 }
-                scheme.verify_range_pages(*root, start, end, &mut pool, &mut out)?;
             }
-            pool.all_used().then_some(()).ok_or("unused pages in proof")
-        }),
-    };
+        }
+        Ok(out)
+    });
     match walked {
         Err(why) => RangeVerdict::Invalid(why),
-        Ok(()) => {
-            if out.windows(2).any(|w| w[0].key >= w[1].key) {
-                return RangeVerdict::Invalid("range entries out of order");
-            }
-            RangeVerdict::Complete(out)
+        Ok(out) if out.windows(2).any(|w| w[0].key >= w[1].key) => {
+            RangeVerdict::Invalid("range entries out of order")
         }
+        Ok(out) => RangeVerdict::Complete(out),
     }
 }
 
@@ -317,43 +353,10 @@ pub fn verify_anchored_batch(
             BatchVerdict::Invalid("pages for an empty key set")
         };
     }
-    if digest.is_zero() {
-        return if proof.is_empty() {
-            BatchVerdict::Verified(vec![ProofVerdict::Absent; keys.len()])
-        } else {
-            BatchVerdict::Invalid("non-empty proof for an empty digest")
-        };
+    match verify_keys(scheme, digest, keys, proof) {
+        Ok(verdicts) => BatchVerdict::Verified(verdicts),
+        Err(why) => BatchVerdict::Invalid(why),
     }
-    let (manifest, rest) = match anchor(digest, proof) {
-        Err(why) => return BatchVerdict::Invalid(why),
-        Ok(None) => (None, proof.pages()),
-        Ok(Some((m, rest))) => (Some(m), rest),
-    };
-    let mut pool = match PagePool::build(rest) {
-        Ok(pool) => pool,
-        Err(why) => return BatchVerdict::Invalid(why),
-    };
-    let router = manifest.as_ref().map(|m| m.router());
-    let mut verdicts = Vec::with_capacity(keys.len());
-    for key in keys {
-        let root = match (&manifest, &router) {
-            (Some(m), Some(r)) => m.roots[r.shard_of(key)],
-            _ => digest,
-        };
-        let verdict = if root.is_zero() {
-            ProofVerdict::Absent
-        } else {
-            scheme.verify_key_pages(root, key, &mut pool)
-        };
-        if let ProofVerdict::Invalid(why) = verdict {
-            return BatchVerdict::Invalid(why);
-        }
-        verdicts.push(verdict);
-    }
-    if !pool.all_used() {
-        return BatchVerdict::Invalid("unused pages in proof");
-    }
-    BatchVerdict::Verified(verdicts)
 }
 
 #[cfg(test)]
@@ -408,11 +411,8 @@ mod tests {
             fn structure(&self) -> &'static str {
                 "none"
             }
-            fn verify_membership(&self, _: Hash, _: &[u8], _: &Proof) -> ProofVerdict {
-                unreachable!("zero digests never reach the scheme")
-            }
             fn verify_key_pages(&self, _: Hash, _: &[u8], _: &mut PagePool) -> ProofVerdict {
-                unreachable!()
+                unreachable!("zero digests never reach the scheme")
             }
             fn verify_range_pages(
                 &self,

@@ -119,7 +119,7 @@ impl<I: SiriIndex> VersionStore<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiffEntry, Entry, EntryCursor, LookupTrace, Proof, ProofVerdict, WriteBatch};
+    use crate::{DiffEntry, Entry, EntryCursor, LookupTrace, Proof, WriteBatch};
     use bytes::Bytes;
     use siri_crypto::{sha256, Hash};
     use siri_store::{MemStore, PageSet, SharedStore};
@@ -198,9 +198,6 @@ mod tests {
         }
         fn prove(&self, _key: &[u8]) -> crate::Result<Proof> {
             Ok(Proof::new(Vec::new()))
-        }
-        fn verify_proof(_root: Hash, _key: &[u8], _proof: &Proof) -> ProofVerdict {
-            ProofVerdict::Absent
         }
     }
 

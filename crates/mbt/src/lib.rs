@@ -31,8 +31,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use siri_core::{
     apply_ops, diff_sorted_entries, entry_codec, own_bound, BatchOp, DiffEntry, Entry, EntryCursor,
-    IndexError, LookupTrace, Proof, ProofVerdict, Result, SiriIndex, StructureReport,
-    StructureStats, WriteBatch,
+    IndexError, LookupTrace, Proof, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashMap, Hash};
 use siri_store::{
@@ -464,10 +463,6 @@ impl SiriIndex for MerkleBucketTree {
         Ok(Proof::new(pages))
     }
 
-    fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
     fn prove_range(&self, _start: Bound<&[u8]>, _end: Bound<&[u8]>) -> Result<Proof> {
         // Hashing destroys key order: any range may touch any bucket, so
         // the complete (deduplicated) page set *is* the range proof. The
@@ -488,38 +483,6 @@ impl SiriIndex for MerkleBucketTree {
             }
         }
         Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MerkleBucketTree {
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MbtProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MbtProofScheme, digest, keys, proof)
     }
 }
 

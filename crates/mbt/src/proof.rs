@@ -8,68 +8,11 @@
 
 use std::ops::Bound;
 
-use bytes::Bytes;
-use siri_core::{bounds_contain, Entry, PagePool, Proof, ProofScheme, ProofVerdict};
-use siri_crypto::{sha256, Hash};
+use siri_core::{bounds_contain, Entry, PagePool, ProofScheme, ProofVerdict};
+use siri_crypto::Hash;
 
 use crate::node::Node;
 use crate::topology::Topology;
-
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    let pages = proof.pages();
-    let Some(first) = pages.first() else {
-        return ProofVerdict::Invalid("empty proof");
-    };
-    if sha256(first) != root {
-        return ProofVerdict::Invalid("root page does not match digest");
-    }
-    let Ok(root_node) = Node::decode(first) else {
-        return ProofVerdict::Invalid("root page undecodable");
-    };
-    let (b, m) = root_node.params();
-    if b == 0 || m < 2 {
-        return ProofVerdict::Invalid("implausible parameters");
-    }
-    let topo = Topology::new(b as usize, m as usize);
-    let path = topo.path_to_bucket(topo.bucket_of(key));
-    if pages.len() != path.len() {
-        return ProofVerdict::Invalid("proof length does not match tree height");
-    }
-
-    let mut current = root_node;
-    for step in 1..path.len() {
-        let Node::Internal { children, buckets, fanout } = current else {
-            return ProofVerdict::Invalid("bucket page at internal level");
-        };
-        if (buckets, fanout) != (b, m) {
-            return ProofVerdict::Invalid("parameter mismatch along path");
-        }
-        let slot = topo.slot_in_parent(path[step]);
-        let Some(expected) = children.get(slot) else {
-            return ProofVerdict::Invalid("path slot out of range");
-        };
-        if sha256(&pages[step]) != *expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        match Node::decode(&pages[step]) {
-            Ok(node) => current = node,
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-
-    match current {
-        Node::Bucket { entries, buckets, fanout } => {
-            if (buckets, fanout) != (b, m) {
-                return ProofVerdict::Invalid("parameter mismatch at bucket");
-            }
-            match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                Ok(i) => ProofVerdict::Present(Bytes::copy_from_slice(&entries[i].value)),
-                Err(_) => ProofVerdict::Absent,
-            }
-        }
-        Node::Internal { .. } => ProofVerdict::Invalid("proof ends at internal node"),
-    }
-}
 
 /// One key's root→bucket re-walk through a shared page pool, deriving the
 /// path arithmetically from the (digest-checked) root page's parameters.
@@ -202,10 +145,6 @@ impl ProofScheme for MbtProofScheme {
         "mbt"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
-    }
-
     fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
         verify_key_pages(root, key, pool)
     }
@@ -226,7 +165,11 @@ impl ProofScheme for MbtProofScheme {
 mod tests {
     use super::*;
     use crate::MerkleBucketTree;
-    use siri_core::{Entry, MemStore, SiriIndex};
+    use siri_core::{verify_anchored_membership, Entry, MemStore, Proof, SiriIndex};
+
+    fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
+        verify_anchored_membership(&MbtProofScheme, root, key, proof)
+    }
 
     fn tree_with_data() -> MerkleBucketTree {
         let mut t = MerkleBucketTree::new(MemStore::new_shared(), 32, 4).unwrap();
@@ -243,7 +186,7 @@ mod tests {
     fn proves_presence() {
         let t = tree_with_data();
         let proof = t.prove(b"key042").unwrap();
-        match MerkleBucketTree::verify_proof(t.root(), b"key042", &proof) {
+        match verify(t.root(), b"key042", &proof) {
             ProofVerdict::Present(v) => assert_eq!(v.as_ref(), b"value42"),
             other => panic!("expected Present, got {other:?}"),
         }
@@ -253,10 +196,7 @@ mod tests {
     fn proves_absence() {
         let t = tree_with_data();
         let proof = t.prove(b"missing-key").unwrap();
-        assert_eq!(
-            MerkleBucketTree::verify_proof(t.root(), b"missing-key", &proof),
-            ProofVerdict::Absent
-        );
+        assert_eq!(verify(t.root(), b"missing-key", &proof), ProofVerdict::Absent);
     }
 
     #[test]
@@ -267,13 +207,13 @@ mod tests {
             let mut p = proof.clone();
             p.tamper(page, 13);
             assert!(
-                !MerkleBucketTree::verify_proof(t.root(), b"key042", &p).is_valid(),
+                !verify(t.root(), b"key042", &p).is_valid(),
                 "tampering page {page} must invalidate the proof"
             );
         }
         // Untampered control.
         proof.tamper(usize::MAX, 0); // no-op
-        assert!(MerkleBucketTree::verify_proof(t.root(), b"key042", &proof).is_valid());
+        assert!(verify(t.root(), b"key042", &proof).is_valid());
     }
 
     #[test]
@@ -281,7 +221,7 @@ mod tests {
         let t = tree_with_data();
         let proof = t.prove(b"key001").unwrap();
         // key in a different bucket: the arithmetic path will not match.
-        let verdict = MerkleBucketTree::verify_proof(t.root(), b"key002", &proof);
+        let verdict = verify(t.root(), b"key002", &proof);
         // Either invalid (different path length impossible here, so link
         // check fails) or a *correct* Absent — never a false Present.
         assert!(verdict.value().is_none());
@@ -292,7 +232,7 @@ mod tests {
         let t = tree_with_data();
         let proof = t.prove(b"key001").unwrap();
         let wrong = siri_crypto::sha256(b"forged root");
-        assert!(!MerkleBucketTree::verify_proof(wrong, b"key001", &proof).is_valid());
+        assert!(!verify(wrong, b"key001", &proof).is_valid());
     }
 
     #[test]
@@ -300,6 +240,6 @@ mod tests {
         let t = tree_with_data();
         let proof = t.prove(b"key001").unwrap();
         let truncated = Proof::new(proof.pages()[..proof.len() - 1].to_vec());
-        assert!(!MerkleBucketTree::verify_proof(t.root(), b"key001", &truncated).is_valid());
+        assert!(!verify(t.root(), b"key001", &truncated).is_valid());
     }
 }

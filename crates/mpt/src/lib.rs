@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use siri_core::{
-    own_bound, DiffEntry, EntryCursor, IndexError, LookupTrace, Proof, ProofVerdict, Result,
-    SiriIndex, StructureReport, StructureStats, WriteBatch,
+    own_bound, DiffEntry, EntryCursor, IndexError, LookupTrace, Proof, Result, SiriIndex,
+    StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_encoding::Nibbles;
@@ -262,10 +262,6 @@ impl SiriIndex for MerklePatriciaTrie {
         proof::prove(self, key)
     }
 
-    fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
-    }
-
     fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
         let mut pages = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -281,38 +277,6 @@ impl SiriIndex for MerklePatriciaTrie {
             )?;
         }
         Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MerklePatriciaTrie {
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MptProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MptProofScheme, digest, keys, proof)
     }
 }
 

@@ -12,7 +12,7 @@ use siri_core::{
     bounds_contain, Entry, IndexError, PagePool, Proof, ProofScheme, ProofVerdict, Result,
     SiriIndex,
 };
-use siri_crypto::{sha256, Hash};
+use siri_crypto::Hash;
 use siri_encoding::Nibbles;
 
 use crate::node::Node;
@@ -53,84 +53,6 @@ pub(crate) fn prove(trie: &MerklePatriciaTrie, key: &[u8]) -> Result<Proof> {
             }
         }
     }
-}
-
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    if root.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for empty trie")
-        };
-    }
-    let pages = proof.pages();
-    if pages.is_empty() {
-        return ProofVerdict::Invalid("empty proof for non-empty trie");
-    }
-    let nibbles = Nibbles::from_key(key);
-    let mut offset = 0usize;
-    let mut expected = root;
-    for (i, page) in pages.iter().enumerate() {
-        if sha256(page) != expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        let node = match Node::decode(page) {
-            Ok(n) => n,
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        };
-        let is_last = i + 1 == pages.len();
-        match node {
-            Node::Leaf { path, value } => {
-                if !is_last {
-                    return ProofVerdict::Invalid("pages after a leaf");
-                }
-                return if nibbles.suffix(offset) == path {
-                    ProofVerdict::Present(Bytes::copy_from_slice(&value))
-                } else {
-                    ProofVerdict::Absent
-                };
-            }
-            Node::Extension { path, child } => {
-                if !nibbles.suffix(offset).starts_with(&path) {
-                    return if is_last {
-                        ProofVerdict::Absent
-                    } else {
-                        ProofVerdict::Invalid("pages after proven divergence")
-                    };
-                }
-                offset += path.len();
-                expected = child;
-            }
-            Node::Branch { children, value } => {
-                if offset == nibbles.len() {
-                    if !is_last {
-                        return ProofVerdict::Invalid("pages after terminal branch");
-                    }
-                    return match value {
-                        Some(v) => ProofVerdict::Present(v),
-                        None => ProofVerdict::Absent,
-                    };
-                }
-                match children[nibbles.at(offset) as usize] {
-                    Some(child) => {
-                        if is_last {
-                            return ProofVerdict::Invalid("proof stops mid-path");
-                        }
-                        offset += 1;
-                        expected = child;
-                    }
-                    None => {
-                        return if is_last {
-                            ProofVerdict::Absent
-                        } else {
-                            ProofVerdict::Invalid("pages after empty slot")
-                        };
-                    }
-                }
-            }
-        }
-    }
-    ProofVerdict::Invalid("proof exhausted before a terminal node")
 }
 
 /// The shared range-pruning predicate: does the subtree at nibble-path
@@ -326,10 +248,6 @@ impl ProofScheme for MptProofScheme {
         "mpt"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
-    }
-
     fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
         verify_key_pages(root, key, pool)
     }
@@ -349,7 +267,11 @@ impl ProofScheme for MptProofScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siri_core::{Entry, MemStore};
+    use siri_core::{verify_anchored_membership, Entry, MemStore};
+
+    fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
+        verify_anchored_membership(&MptProofScheme, root, key, proof)
+    }
 
     fn trie() -> MerklePatriciaTrie {
         let mut t = MerklePatriciaTrie::new(MemStore::new_shared());
@@ -369,7 +291,7 @@ mod tests {
         let t = trie();
         let p = t.prove(b"addr099").unwrap();
         assert_eq!(
-            MerklePatriciaTrie::verify_proof(t.root(), b"addr099", &p),
+            verify(t.root(), b"addr099", &p),
             ProofVerdict::Present(Bytes::from_static(b"bal99"))
         );
     }
@@ -380,7 +302,7 @@ mod tests {
         for key in [&b"addr999"[..], b"zzz", b"addr0991", b"addr09"] {
             let p = t.prove(key).unwrap();
             assert_eq!(
-                MerklePatriciaTrie::verify_proof(t.root(), key, &p),
+                verify(t.root(), key, &p),
                 ProofVerdict::Absent,
                 "key {:?}",
                 String::from_utf8_lossy(key)
@@ -395,10 +317,7 @@ mod tests {
         for page in 0..proof.len() {
             let mut p = proof.clone();
             p.tamper(page, 11);
-            assert!(
-                !MerklePatriciaTrie::verify_proof(t.root(), b"addr077", &p).is_valid(),
-                "page {page}"
-            );
+            assert!(!verify(t.root(), b"addr077", &p).is_valid(), "page {page}");
         }
     }
 
@@ -406,7 +325,7 @@ mod tests {
     fn proof_not_transferable_to_other_keys() {
         let t = trie();
         let p = t.prove(b"addr001").unwrap();
-        let verdict = MerklePatriciaTrie::verify_proof(t.root(), b"addr002", &p);
+        let verdict = verify(t.root(), b"addr002", &p);
         assert!(verdict.value().is_none(), "must not prove a different key present");
     }
 
@@ -414,7 +333,7 @@ mod tests {
     fn empty_trie_proof() {
         let t = MerklePatriciaTrie::new(MemStore::new_shared());
         let p = t.prove(b"k").unwrap();
-        assert_eq!(MerklePatriciaTrie::verify_proof(t.root(), b"k", &p), ProofVerdict::Absent);
+        assert_eq!(verify(t.root(), b"k", &p), ProofVerdict::Absent);
     }
 
     #[test]
@@ -423,6 +342,6 @@ mod tests {
         let p = t.prove(b"addr077").unwrap();
         assert!(p.len() >= 2);
         let truncated = Proof::new(p.pages()[..p.len() - 1].to_vec());
-        assert!(!MerklePatriciaTrie::verify_proof(t.root(), b"addr077", &truncated).is_valid());
+        assert!(!verify(t.root(), b"addr077", &truncated).is_valid());
     }
 }

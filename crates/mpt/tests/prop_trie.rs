@@ -6,8 +6,8 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use siri_core::{Entry, MemStore, SiriIndex};
-use siri_mpt::MerklePatriciaTrie;
+use siri_core::{verify_anchored_membership, Entry, MemStore, SiriIndex};
+use siri_mpt::{MerklePatriciaTrie, MptProofScheme};
 
 /// Keys drawn from a tiny alphabet with short lengths — maximizes prefix
 /// collisions and extension splits.
@@ -75,14 +75,14 @@ proptest! {
         let root = trie.root();
         for (k, v) in model.iter().take(8) {
             let proof = trie.prove(k).unwrap();
-            let verdict = MerklePatriciaTrie::verify_proof(root, k, &proof);
+            let verdict = verify_anchored_membership(&MptProofScheme, root, k, &proof);
             prop_assert_eq!(verdict.value().map(|b| b.as_ref()), Some(v.as_slice()));
         }
         // A key guaranteed absent (longer than any generated key).
         let absent = vec![0x42u8; 9];
         let proof = trie.prove(&absent).unwrap();
         prop_assert!(matches!(
-            MerklePatriciaTrie::verify_proof(root, &absent, &proof),
+            verify_anchored_membership(&MptProofScheme, root, &absent, &proof),
             siri_core::ProofVerdict::Absent
         ));
     }

@@ -17,26 +17,24 @@
 //! assert_eq!(t.get(b"k").unwrap().unwrap().as_ref(), b"v");
 //! ```
 
-mod cursor;
 mod node;
 mod proof;
 
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
+use siri_core::routed::{self, ChildRef};
 use siri_core::{
-    apply_ops, own_bound, BatchOp, DiffEntry, Entry, EntryCursor, IndexError, LookupTrace, Proof,
-    ProofVerdict, Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    apply_ops, BatchOp, DiffEntry, Entry, EntryCursor, IndexError, LookupTrace, Proof, Result,
+    SiriIndex, StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::{FxHashSet, Hash};
 use siri_store::{
     reachable_pages, CacheStats, NodeCache, PageSet, SharedStore, DEFAULT_NODE_CACHE_CAPACITY,
 };
 
-pub use cursor::RangeCursor;
-pub use node::{route, ChildRef, Node};
+pub use node::Node;
 pub use proof::MvmbProofScheme;
 
 /// Node capacity limits.
@@ -78,9 +76,6 @@ pub struct MvmbTree {
     cache: Arc<NodeCache<Node>>,
 }
 
-/// A rebuilt subtree piece handed back to the parent: (max key, page hash).
-type Piece = (Bytes, Hash);
-
 impl MvmbTree {
     /// An empty tree (root = zero hash).
     pub fn new(store: SharedStore, params: MvmbParams) -> Self {
@@ -117,16 +112,7 @@ impl MvmbTree {
     }
 
     fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        Ok(routed::load(self.store.as_ref(), &self.cache, hash)?.0)
     }
 
     /// Split `items` into balanced chunks of at most `max` and emit one
@@ -138,7 +124,7 @@ impl MvmbTree {
         items: Vec<T>,
         max: usize,
         build: impl Fn(Vec<T>) -> Node,
-    ) -> Result<Vec<Piece>> {
+    ) -> Result<Vec<ChildRef>> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
@@ -152,7 +138,11 @@ impl MvmbTree {
             pages.push(node.encode());
         }
         let hashes = self.store.try_put_many(&pages)?;
-        Ok(max_keys.into_iter().zip(hashes).collect())
+        Ok(max_keys
+            .into_iter()
+            .zip(hashes)
+            .map(|(max_key, hash)| ChildRef { max_key, hash })
+            .collect())
     }
 
     /// Recursive copy-on-write batch application. `ops` is normalized
@@ -160,13 +150,13 @@ impl MvmbTree {
     /// pieces for this subtree — possibly none, when deletes empty it
     /// (underflow handling: emptied nodes are pruned and their siblings
     /// re-chunked by the parent rebuild).
-    fn apply_rec(&self, node_hash: Hash, ops: &[BatchOp]) -> Result<Vec<Piece>> {
+    fn apply_rec(&self, node_hash: Hash, ops: &[BatchOp]) -> Result<Vec<ChildRef>> {
         if ops.is_empty() {
             // Untouched subtree: reuse wholesale (Recursively Identical in
             // action). Need its max key for the parent rebuild.
             let node = self.fetch(&node_hash)?;
             let max = node.max_key().ok_or(IndexError::CorruptStructure("empty node"))?;
-            return Ok(vec![(max, node_hash)]);
+            return Ok(vec![ChildRef { max_key: max, hash: node_hash }]);
         }
         match &*self.fetch(&node_hash)? {
             Node::Leaf(old) => {
@@ -175,7 +165,7 @@ impl MvmbTree {
             }
             Node::Internal(children) => {
                 // Partition the batch across children by routing range.
-                let mut pieces: Vec<Piece> = Vec::with_capacity(children.len() + 2);
+                let mut pieces = Vec::with_capacity(children.len() + 2);
                 let mut rest = ops;
                 for (slot, child) in children.iter().enumerate() {
                     let is_last = slot + 1 == children.len();
@@ -186,14 +176,10 @@ impl MvmbTree {
                     };
                     let (mine, remaining) = rest.split_at(split);
                     rest = remaining;
-                    pieces.extend(self.apply_rec(child.child, mine)?);
+                    pieces.extend(self.apply_rec(child.hash, mine)?);
                 }
                 debug_assert!(rest.is_empty());
-                let refs: Vec<ChildRef> = pieces
-                    .into_iter()
-                    .map(|(max_key, child)| ChildRef { max_key, child })
-                    .collect();
-                self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)
+                self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)
             }
         }
     }
@@ -207,21 +193,15 @@ impl MvmbTree {
                 return Ok(root);
             }
             match &*self.fetch(&root)? {
-                Node::Internal(children) if children.len() == 1 => root = children[0].child,
+                Node::Internal(children) if children.len() == 1 => root = children[0].hash,
                 _ => return Ok(root),
             }
         }
     }
 
     /// Build a tree bottom-up from scratch for the first batch.
-    fn build_fresh(&self, entries: Vec<Entry>) -> Result<Vec<Piece>> {
-        let mut pieces = self.emit_chunks(entries, self.params.max_leaf_entries, Node::Leaf)?;
-        while pieces.len() > 1 {
-            let refs: Vec<ChildRef> =
-                pieces.into_iter().map(|(max_key, child)| ChildRef { max_key, child }).collect();
-            pieces = self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)?;
-        }
-        Ok(pieces)
+    fn build_fresh(&self, entries: Vec<Entry>) -> Result<Vec<ChildRef>> {
+        self.emit_chunks(entries, self.params.max_leaf_entries, Node::Leaf)
     }
 
     /// Number of levels (0 for an empty tree).
@@ -235,7 +215,7 @@ impl MvmbTree {
             match &*self.fetch(&hash)? {
                 Node::Leaf(_) => return Ok(h),
                 Node::Internal(children) => {
-                    hash = children[0].child;
+                    hash = children[0].hash;
                     h += 1;
                 }
             }
@@ -267,51 +247,7 @@ impl SiriIndex for MvmbTree {
     }
 
     fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
-        let mut trace = LookupTrace::default();
-        if self.root.is_zero() {
-            return Ok((None, trace));
-        }
-        let mut hash = self.root;
-        let load_start = Instant::now();
-        loop {
-            let (node, cached) = self.fetch_traced(&hash)?;
-            trace.pages_loaded += 1;
-            trace.height += 1;
-            if cached {
-                trace.cache_hits += 1;
-            } else {
-                trace.cache_misses += 1;
-            }
-            match &*node {
-                Node::Internal(children) => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                        return Ok((None, trace));
-                    }
-                    hash = children[route(children, key)].child;
-                }
-                Node::Leaf(entries) => {
-                    trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                    let scan_start = Instant::now();
-                    let (mut lo, mut hi) = (0usize, entries.len());
-                    let mut found = None;
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        trace.leaf_entries_scanned += 1;
-                        match entries[mid].key.as_ref().cmp(key) {
-                            std::cmp::Ordering::Equal => {
-                                found = Some(entries[mid].value.clone());
-                                break;
-                            }
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                        }
-                    }
-                    trace.scan_nanos = scan_start.elapsed().as_nanos() as u64;
-                    return Ok((found, trace));
-                }
-            }
-        }
+        routed::get_traced(self.store.as_ref(), &self.cache, self.root, key)
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
@@ -327,27 +263,19 @@ impl SiriIndex for MvmbTree {
         };
         // Grow upward while the top level overflows a single node.
         while pieces.len() > 1 {
-            let refs: Vec<ChildRef> =
-                pieces.into_iter().map(|(max_key, child)| ChildRef { max_key, child }).collect();
-            pieces = self.emit_chunks(refs, self.params.max_internal_children, Node::Internal)?;
+            pieces = self.emit_chunks(pieces, self.params.max_internal_children, Node::Internal)?;
         }
         // Deletes may have emptied the tree entirely, or left a lone-child
         // chain at the top; prune both.
         self.root = match pieces.pop() {
-            Some((_, hash)) => self.collapse_root(hash)?,
+            Some(piece) => self.collapse_root(piece.hash)?,
             None => Hash::ZERO,
         };
         Ok(self.root)
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {
-        EntryCursor::new(cursor::RangeCursor::new(
-            self.store.clone(),
-            self.cache.clone(),
-            self.root,
-            own_bound(start),
-            own_bound(end),
-        ))
+        routed::range(self.store.clone(), self.cache.clone(), self.root, start, end)
     }
 
     fn page_set(&self) -> PageSet {
@@ -365,99 +293,11 @@ impl SiriIndex for MvmbTree {
     }
 
     fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        if self.root.is_zero() {
-            return Ok(Proof::new(pages));
-        }
-        let mut hash = self.root;
-        loop {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            pages.push(page);
-            match node {
-                Node::Internal(children) => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        // This node already proves the key exceeds every
-                        // stored key; the verifier re-derives the absence.
-                        return Ok(Proof::new(pages));
-                    }
-                    hash = children[route(&children, key)].child;
-                }
-                Node::Leaf(_) => return Ok(Proof::new(pages)),
-            }
-        }
-    }
-
-    fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
+        routed::prove::<Node>(self.store.as_ref(), self.root, key)
     }
 
     fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        if !self.root.is_zero() {
-            self.collect_range_pages(self.root, start, end, &mut seen, &mut pages)?;
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl MvmbTree {
-    /// Prover-side range walk — same pruning predicate as the verifier,
-    /// pages pushed once by content hash, descent never skipped.
-    fn collect_range_pages(
-        &self,
-        hash: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        seen: &mut std::collections::HashSet<Hash>,
-        pages: &mut Vec<Bytes>,
-    ) -> Result<()> {
-        let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-        let node = Node::decode(&page)?;
-        if seen.insert(hash) {
-            pages.push(page);
-        }
-        if let Node::Internal(children) = node {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if siri_core::child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    self.collect_range_pages(c.child, start, end, seen, pages)?;
-                }
-                prev = Some(c.max_key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify a range proof against a trusted branch digest — see
-    /// [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::MvmbProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::MvmbProofScheme, digest, keys, proof)
+        routed::prove_range::<Node>(self.store.as_ref(), self.root, start, end)
     }
 }
 
@@ -479,7 +319,7 @@ impl StructureStats for MvmbTree {
                     leaves += 1;
                     entries += items.len() as u64;
                 }
-                Node::Internal(children) => stack.extend(children.iter().map(|c| c.child)),
+                Node::Internal(children) => stack.extend(children.iter().map(|c| c.hash)),
             }
         }
         Ok(StructureReport {

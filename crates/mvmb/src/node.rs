@@ -8,19 +8,13 @@
 //! with the hash of their immediate children" (§5.2).
 
 use bytes::Bytes;
+use siri_core::routed::{ChildRef, NodeView, RoutedNode};
 use siri_core::{entry_codec, Entry, IndexError, Result};
 use siri_crypto::Hash;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
 
 const TAG_INTERNAL: u8 = 0x11;
 const TAG_LEAF: u8 = 0x12;
-
-/// Routing entry of an internal node: the maximum key in `child`'s subtree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChildRef {
-    pub max_key: Bytes,
-    pub child: Hash,
-}
 
 /// Decoded MVMB+-Tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +56,7 @@ impl Node {
                 w.put_varint(children.len() as u64);
                 for c in children {
                     w.put_bytes(&c.max_key);
-                    w.put_raw(c.child.as_bytes());
+                    w.put_raw(c.hash.as_bytes());
                 }
             }
             Node::Leaf(entries) => {
@@ -93,9 +87,9 @@ impl Node {
                     let koff = r.offset();
                     r.get_raw(klen)?;
                     let max_key = page.slice(koff..koff + klen);
-                    let child = Hash::from_slice(r.get_raw(Hash::LEN)?)
+                    let hash = Hash::from_slice(r.get_raw(Hash::LEN)?)
                         .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(ChildRef { max_key, child });
+                    children.push(ChildRef { max_key, hash });
                 }
                 r.finish()?;
                 if children.windows(2).any(|w| w[0].max_key >= w[1].max_key) {
@@ -117,7 +111,7 @@ impl Node {
     /// Child hashes referenced by a page — the store-walk decoder.
     pub fn children_of_page(page: &[u8]) -> Vec<Hash> {
         match Node::decode(page) {
-            Ok(Node::Internal(children)) => children.into_iter().map(|c| c.child).collect(),
+            Ok(Node::Internal(children)) => children.into_iter().map(|c| c.hash).collect(),
             _ => Vec::new(),
         }
     }
@@ -131,19 +125,28 @@ impl Node {
     }
 }
 
-/// Route a key to a child slot: the first child whose `max_key >= key`,
-/// clamping overlarge keys to the rightmost child (so inserts of new
-/// maxima descend correctly).
-pub fn route(children: &[ChildRef], key: &[u8]) -> usize {
-    match children.binary_search_by(|c| c.max_key.as_ref().cmp(key)) {
-        Ok(i) => i,
-        Err(i) => i.min(children.len() - 1),
+impl RoutedNode for Node {
+    fn decode_zc(page: &Bytes) -> Result<Node> {
+        Node::decode_zc(page)
+    }
+
+    fn view(&self) -> NodeView<'_> {
+        match self {
+            Node::Internal(children) => NodeView::Internal(children),
+            Node::Leaf(entries) => NodeView::Leaf(entries),
+        }
+    }
+
+    /// MVMB+ pages store no level.
+    fn level(&self) -> Option<u32> {
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siri_core::routed::route;
     use siri_crypto::sha256;
 
     fn e(k: &str, v: &str) -> Entry {
@@ -151,7 +154,7 @@ mod tests {
     }
 
     fn cr(k: &str, seed: &str) -> ChildRef {
-        ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), child: sha256(seed.as_bytes()) }
+        ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(seed.as_bytes()) }
     }
 
     #[test]

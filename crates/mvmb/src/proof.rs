@@ -1,132 +1,16 @@
-//! MVMB+-Tree proof verification: re-hash every page, re-run the routing
-//! decision at every level, and only then trust the leaf's answer. Also
-//! the [`PagePool`] walkers behind range/batched proofs and the
-//! [`MvmbProofScheme`] glue into the anchored verifiers — the baseline
-//! gets the same verified-read surface as the SIRI structures, which is
-//! essential on sharded branches (its collapsed root is not derivable
-//! from the shard sub-roots, so manifest-anchored proofs are the *only*
-//! sound ones).
+//! MVMB+-Tree proofs: the shared key-routed walks of
+//! [`siri_core::routed`] over MVMB+ pages, plugged into the anchored
+//! verifiers through [`MvmbProofScheme`]. The baseline gets the same
+//! verified-read surface as the SIRI structures, which is essential on
+//! sharded branches (its collapsed root is not derivable from the shard
+//! sub-roots, so manifest-anchored proofs are the *only* sound ones).
 
 use std::ops::Bound;
 
-use bytes::Bytes;
-use siri_core::{
-    bounds_contain, child_overlaps, Entry, PagePool, Proof, ProofScheme, ProofVerdict,
-};
-use siri_crypto::{sha256, Hash};
+use siri_core::{routed, Entry, PagePool, ProofScheme, ProofVerdict};
+use siri_crypto::Hash;
 
-use crate::node::{route, Node};
-
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    if root.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for empty tree")
-        };
-    }
-    let pages = proof.pages();
-    if pages.is_empty() {
-        return ProofVerdict::Invalid("empty proof for non-empty tree");
-    }
-    let mut expected = root;
-    for (depth, page) in pages.iter().enumerate() {
-        if sha256(page) != expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        match Node::decode(page) {
-            Ok(Node::Internal(children)) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    // This (digest-checked) node already proves the key is
-                    // larger than everything stored below it.
-                    return if depth + 1 == pages.len() {
-                        ProofVerdict::Absent
-                    } else {
-                        ProofVerdict::Invalid("pages after proven absence")
-                    };
-                }
-                if depth + 1 == pages.len() {
-                    return ProofVerdict::Invalid("proof ends at internal node");
-                }
-                expected = children[route(&children, key)].child;
-            }
-            Ok(Node::Leaf(entries)) => {
-                if depth + 1 != pages.len() {
-                    return ProofVerdict::Invalid("leaf before end of proof");
-                }
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(Bytes::copy_from_slice(&entries[i].value)),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-    ProofVerdict::Invalid("proof exhausted before a leaf")
-}
-
-/// One key's root→leaf re-walk through a shared page pool. Cycle-free by
-/// construction: each fetched page hashes to the digest that referenced it.
-pub(crate) fn verify_key_pages(root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-    if root.is_zero() {
-        return ProofVerdict::Absent;
-    }
-    let mut expected = root;
-    loop {
-        let Some(page) = pool.get(&expected) else {
-            return ProofVerdict::Invalid("missing page in proof");
-        };
-        match Node::decode_zc(&page) {
-            Ok(Node::Internal(children)) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    return ProofVerdict::Absent;
-                }
-                expected = children[route(&children, key)].child;
-            }
-            Ok(Node::Leaf(entries)) => {
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(entries[i].value.clone()),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-}
-
-/// Re-walk every subtree overlapping the bounds through the pool,
-/// appending in-bounds entries in key order — pruning via the same
-/// [`child_overlaps`] predicate the prover uses.
-pub(crate) fn verify_range_pages(
-    root: Hash,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> Result<(), &'static str> {
-    if root.is_zero() {
-        return Ok(());
-    }
-    let Some(page) = pool.get(&root) else {
-        return Err("missing page in proof");
-    };
-    match Node::decode_zc(&page).map_err(|_| "page undecodable")? {
-        Node::Leaf(entries) => {
-            out.extend(entries.into_iter().filter(|e| bounds_contain(start, end, &e.key)));
-            Ok(())
-        }
-        Node::Internal(children) => {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    verify_range_pages(c.child, start, end, pool, out)?;
-                }
-                prev = Some(c.max_key);
-            }
-            Ok(())
-        }
-    }
-}
+use crate::node::Node;
 
 /// MVMB+-Tree's [`ProofScheme`].
 pub struct MvmbProofScheme;
@@ -136,12 +20,8 @@ impl ProofScheme for MvmbProofScheme {
         "mvmb+-tree"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
-    }
-
     fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-        verify_key_pages(root, key, pool)
+        routed::verify_key_pages::<Node>(root, key, pool)
     }
 
     fn verify_range_pages(
@@ -152,7 +32,7 @@ impl ProofScheme for MvmbProofScheme {
         pool: &mut PagePool,
         out: &mut Vec<Entry>,
     ) -> Result<(), &'static str> {
-        verify_range_pages(root, start, end, pool, out)
+        routed::verify_range_pages::<Node>(root, start, end, pool, out)
     }
 }
 
@@ -160,7 +40,12 @@ impl ProofScheme for MvmbProofScheme {
 mod tests {
     use super::*;
     use crate::{MvmbParams, MvmbTree};
-    use siri_core::{Entry, MemStore, SiriIndex};
+    use bytes::Bytes;
+    use siri_core::{verify_anchored_membership, MemStore, Proof, SiriIndex};
+
+    fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
+        verify_anchored_membership(&MvmbProofScheme, root, key, proof)
+    }
 
     fn tree() -> MvmbTree {
         let mut t = MvmbTree::new(MemStore::new_shared(), MvmbParams::default());
@@ -180,11 +65,11 @@ mod tests {
         let t = tree();
         let p = t.prove(b"key0123").unwrap();
         assert_eq!(
-            MvmbTree::verify_proof(t.root(), b"key0123", &p),
+            verify(t.root(), b"key0123", &p),
             ProofVerdict::Present(Bytes::from_static(b"v123"))
         );
         let p = t.prove(b"key0123a").unwrap();
-        assert_eq!(MvmbTree::verify_proof(t.root(), b"key0123a", &p), ProofVerdict::Absent);
+        assert_eq!(verify(t.root(), b"key0123a", &p), ProofVerdict::Absent);
     }
 
     #[test]
@@ -195,7 +80,7 @@ mod tests {
         for page in 0..proof.len() {
             let mut p = proof.clone();
             p.tamper(page, 7);
-            assert!(!MvmbTree::verify_proof(t.root(), b"key0050", &p).is_valid());
+            assert!(!verify(t.root(), b"key0050", &p).is_valid());
         }
     }
 
@@ -203,10 +88,10 @@ mod tests {
     fn empty_tree_proofs() {
         let t = MvmbTree::new(MemStore::new_shared(), MvmbParams::default());
         let p = t.prove(b"anything").unwrap();
-        assert_eq!(MvmbTree::verify_proof(t.root(), b"anything", &p), ProofVerdict::Absent);
+        assert_eq!(verify(t.root(), b"anything", &p), ProofVerdict::Absent);
         // Forged non-empty proof against the empty root:
         let forged = Proof::new(vec![Bytes::from_static(b"junk")]);
-        assert!(!MvmbTree::verify_proof(t.root(), b"anything", &forged).is_valid());
+        assert!(!verify(t.root(), b"anything", &forged).is_valid());
     }
 
     #[test]
@@ -215,7 +100,7 @@ mod tests {
         let p = t.prove(b"key0002").unwrap();
         // Verifying a different key against this path must not produce a
         // false Present.
-        let verdict = MvmbTree::verify_proof(t.root(), b"key0199", &p);
+        let verdict = verify(t.root(), b"key0199", &p);
         assert!(verdict.value().is_none());
     }
 }

@@ -4,7 +4,7 @@
 //! Each level of the tree has a [`LevelBuilder`] holding the items of the
 //! node currently being formed. When the boundary judge fires (or the
 //! forced maximum is hit), the node is sealed, stored, and its
-//! [`Piece`] cascades as an item into the builder one level up — the
+//! [`ChildRef`] cascades as an item into the builder one level up — the
 //! "bottom-up build order" whose batching advantage §5.2/§5.3.1 highlight.
 //!
 //! Builders also support *pass-through*: an untouched old node can be
@@ -15,12 +15,13 @@
 //! the tree Structurally Invariant.
 
 use bytes::Bytes;
+use siri_core::routed::ChildRef;
 use siri_core::{entry_codec, Entry, Result};
 use siri_crypto::{GearHash, Hash, RollingHash, GEAR_WINDOW};
 use siri_encoding::{ByteWriter, Scratch};
 use siri_store::SharedStore;
 
-use crate::node::{Node, Piece};
+use crate::node::Node;
 use crate::params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 
 /// Leaves queued for one multi-lane hash+store round. Small enough that a
@@ -32,7 +33,7 @@ const LEAF_BATCH: usize = 8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
     Entry(Entry),
-    Ref(Piece),
+    Ref(ChildRef),
 }
 
 impl Item {
@@ -226,7 +227,7 @@ impl LevelBuilder {
     }
 
     /// Push one item; returns the sealed node's piece if a boundary fired.
-    pub fn push(&mut self, item: Item, store: &SharedStore) -> Result<Option<Piece>> {
+    pub fn push(&mut self, item: Item, store: &SharedStore) -> Result<Option<ChildRef>> {
         if self.absorb(item) {
             Ok(Some(self.seal(store)?))
         } else {
@@ -245,7 +246,7 @@ impl LevelBuilder {
     }
 
     /// Seal the trailing node at end of stream, if any.
-    pub fn finish(&mut self, store: &SharedStore) -> Result<Option<Piece>> {
+    pub fn finish(&mut self, store: &SharedStore) -> Result<Option<ChildRef>> {
         if self.items.is_empty() {
             Ok(None)
         } else {
@@ -288,14 +289,14 @@ impl LevelBuilder {
         }
     }
 
-    fn seal(&mut self, store: &SharedStore) -> Result<Piece> {
+    fn seal(&mut self, store: &SharedStore) -> Result<ChildRef> {
         let node = self.take_node();
         let max_key = node.max_key().expect("sealed nodes are non-empty");
         let w = self.page_buf.start();
         w.reserve_total(node.encoded_len());
         node.encode_into(w);
         let hash = store.try_put_raw(self.page_buf.bytes())?;
-        Ok(Piece { max_key, hash })
+        Ok(ChildRef { max_key, hash })
     }
 
     fn seal_deferred(&mut self) -> DeferredSeal {
@@ -363,7 +364,7 @@ impl<'a> Builders<'a> {
         for (sealed, hash) in batch.into_iter().zip(hashes) {
             // Re-entrant push(1, ..) sees an empty queue, so this cannot
             // loop.
-            self.push(1, Item::Ref(Piece { max_key: sealed.max_key, hash }))?;
+            self.push(1, Item::Ref(ChildRef { max_key: sealed.max_key, hash }))?;
         }
         Ok(())
     }
@@ -384,7 +385,7 @@ impl<'a> Builders<'a> {
 
     /// Re-use an untouched old node of `level` wholesale. Caller must have
     /// checked [`Builders::clean_below`]`(level)`.
-    pub fn pass_through(&mut self, level: u32, piece: Piece) -> Result<()> {
+    pub fn pass_through(&mut self, level: u32, piece: ChildRef) -> Result<()> {
         self.flush_leaves()?;
         debug_assert!(self.boundaries_clean(level), "pass-through requires clean builders");
         self.push(level + 1, Item::Ref(piece))
@@ -398,7 +399,7 @@ impl<'a> Builders<'a> {
     /// is the root — wrapping it would create a useless single-child chain
     /// (and break structural invariance, since chain length would depend on
     /// history).
-    pub fn finalize(mut self) -> Result<Option<Piece>> {
+    pub fn finalize(mut self) -> Result<Option<ChildRef>> {
         // Seal the trailing leaf and drain the queue so level 1 holds every
         // leaf reference before the upward sweep.
         if let Some(l0) = self.levels.first_mut() {
@@ -433,7 +434,7 @@ mod tests {
         (0..n).map(|i| Entry::new(format!("key{i:06}").into_bytes(), vec![0xAB; 100])).collect()
     }
 
-    fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<Piece> {
+    fn build(store: &SharedStore, params: &PosParams, es: &[Entry]) -> Option<ChildRef> {
         let mut b = Builders::new(store, params, 0);
         for e in es {
             b.push(0, Item::Entry(e.clone())).unwrap();

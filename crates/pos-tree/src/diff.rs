@@ -42,8 +42,8 @@ pub(crate) fn diff(a: &PosTree, b: &PosTree) -> Result<Vec<DiffEntry>> {
     if a.root() == b.root() {
         return Ok(out);
     }
-    let mut ca = Cursor::with_cache(a.store().clone(), Some(a.cache.clone()), a.root())?;
-    let mut cb = Cursor::with_cache(b.store().clone(), Some(b.cache.clone()), b.root())?;
+    let mut ca = Cursor::new(a.store().clone(), a.cache.clone(), a.root())?;
+    let mut cb = Cursor::new(b.store().clone(), b.cache.clone(), b.root())?;
 
     loop {
         // Step 1: skip a shared subtree unread.
@@ -198,9 +198,9 @@ mod tests {
         // is the root, which sits at a different index on each path.
         let t = tree(5000);
         assert!(t.height().unwrap() >= 3);
-        let mut deep = Cursor::new(t.store().clone(), t.root()).unwrap();
+        let mut deep = Cursor::new(t.store().clone(), t.cache.clone(), t.root()).unwrap();
         deep.peek().unwrap();
-        let mut shallow = Cursor::new(t.store().clone(), t.root()).unwrap();
+        let mut shallow = Cursor::new(t.store().clone(), t.cache.clone(), t.root()).unwrap();
         let (ks, kd) = shared_start(&shallow, &deep).unwrap();
         assert_eq!((ks, kd), (1, deep.start_depth() - 1));
         assert_eq!(shallow.start_hash(ks), t.root());

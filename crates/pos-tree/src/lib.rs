@@ -37,12 +37,11 @@ mod update;
 
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use siri_core::{
-    apply_ops, own_bound, DiffEntry, EntryCursor, IndexError, LookupTrace, Proof, ProofVerdict,
-    Result, SiriIndex, StructureReport, StructureStats, WriteBatch,
+    apply_ops, routed, DiffEntry, EntryCursor, IndexError, LookupTrace, Proof, Result, SiriIndex,
+    StructureReport, StructureStats, WriteBatch,
 };
 use siri_crypto::Hash;
 use siri_store::{
@@ -51,7 +50,7 @@ use siri_store::{
 
 pub use builder::{Builders, DeferredSeal, Item, LevelBuilder};
 pub use cursor::Cursor;
-pub use node::{route, Node, Piece};
+pub use node::Node;
 pub use params::{ChunkerKind, InternalChunking, PosParams, SplitPolicy};
 pub use proof::PosProofScheme;
 
@@ -137,16 +136,7 @@ impl PosTree {
     }
 
     fn fetch(&self, hash: &Hash) -> Result<Arc<Node>> {
-        Ok(self.fetch_traced(hash)?.0)
-    }
-
-    /// Fetch a node through the cache; the flag reports whether it was a
-    /// cache hit (no store access, no decode).
-    fn fetch_traced(&self, hash: &Hash) -> Result<(Arc<Node>, bool)> {
-        self.cache.get_or_load(hash, || {
-            let page = self.store.try_get(hash)?.ok_or(IndexError::MissingPage(*hash))?;
-            Node::decode_zc(&page)
-        })
+        Ok(routed::load(self.store.as_ref(), &self.cache, hash)?.0)
     }
 
     /// Per-level statistics: for each level from the leaves up,
@@ -224,51 +214,7 @@ impl SiriIndex for PosTree {
     }
 
     fn get_traced(&self, key: &[u8]) -> Result<(Option<Bytes>, LookupTrace)> {
-        let mut trace = LookupTrace::default();
-        if self.root.is_zero() {
-            return Ok((None, trace));
-        }
-        let mut hash = self.root;
-        let load_start = Instant::now();
-        loop {
-            let (node, cached) = self.fetch_traced(&hash)?;
-            trace.pages_loaded += 1;
-            trace.height += 1;
-            if cached {
-                trace.cache_hits += 1;
-            } else {
-                trace.cache_misses += 1;
-            }
-            match &*node {
-                Node::Internal { children, .. } => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                        return Ok((None, trace));
-                    }
-                    hash = children[route(children, key)].hash;
-                }
-                Node::Leaf { entries, .. } => {
-                    trace.load_nanos = load_start.elapsed().as_nanos() as u64;
-                    let scan_start = Instant::now();
-                    let (mut lo, mut hi) = (0usize, entries.len());
-                    let mut found = None;
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        trace.leaf_entries_scanned += 1;
-                        match entries[mid].key.as_ref().cmp(key) {
-                            std::cmp::Ordering::Equal => {
-                                found = Some(entries[mid].value.clone());
-                                break;
-                            }
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                        }
-                    }
-                    trace.scan_nanos = scan_start.elapsed().as_nanos() as u64;
-                    return Ok((found, trace));
-                }
-            }
-        }
+        routed::get_traced(self.store.as_ref(), &self.cache, self.root, key)
     }
 
     fn commit(&mut self, batch: WriteBatch) -> Result<Hash> {
@@ -300,24 +246,7 @@ impl SiriIndex for PosTree {
     }
 
     fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> EntryCursor {
-        let start = own_bound(start);
-        let cursor = match &start {
-            Bound::Unbounded => {
-                Cursor::with_cache(self.store.clone(), Some(self.cache.clone()), self.root)
-            }
-            Bound::Included(k) | Bound::Excluded(k) => {
-                Cursor::seek_with_cache(self.store.clone(), Some(self.cache.clone()), self.root, k)
-            }
-        };
-        match cursor {
-            Ok(cursor) => EntryCursor::new(cursor::RangeIter {
-                cursor,
-                start,
-                end: own_bound(end),
-                done: false,
-            }),
-            Err(e) => EntryCursor::fail(e),
-        }
+        routed::range(self.store.clone(), self.cache.clone(), self.root, start, end)
     }
 
     /// Counting walks the leaves and sums their entry counts; the interior
@@ -346,103 +275,11 @@ impl SiriIndex for PosTree {
     }
 
     fn prove(&self, key: &[u8]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        if self.root.is_zero() {
-            return Ok(Proof::new(pages));
-        }
-        let mut hash = self.root;
-        loop {
-            let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-            let node = Node::decode(&page)?;
-            pages.push(page);
-            match node {
-                Node::Internal { children, .. } => {
-                    if key > children.last().expect("non-empty").max_key.as_ref() {
-                        // The node itself proves the key exceeds every
-                        // stored key; stop here (the verifier re-derives
-                        // this absence from the max key).
-                        return Ok(Proof::new(pages));
-                    }
-                    hash = children[route(&children, key)].hash;
-                }
-                Node::Leaf { .. } => return Ok(Proof::new(pages)),
-            }
-        }
-    }
-
-    fn verify_proof(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        proof::verify(root, key, proof)
+        routed::prove::<Node>(self.store.as_ref(), self.root, key)
     }
 
     fn prove_range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        if !self.root.is_zero() {
-            self.collect_range_pages(self.root, start, end, &mut seen, &mut pages)?;
-        }
-        Ok(Proof::new(pages))
-    }
-
-    fn prove_batch(&self, keys: &[Bytes]) -> Result<Proof> {
-        let mut pages = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            for page in self.prove(key)?.into_pages() {
-                if seen.insert(siri_crypto::sha256(&page)) {
-                    pages.push(page);
-                }
-            }
-        }
-        Ok(Proof::new(pages))
-    }
-}
-
-impl PosTree {
-    /// Prover-side range walk: descend every subtree overlapping the
-    /// bounds (same [`siri_core::child_overlaps`] predicate the verifier
-    /// uses), pushing each page once by content hash. Descent is *not*
-    /// skipped for already-pushed pages — dedup applies to the page list
-    /// only, so the walk shape stays identical to the verifier's.
-    fn collect_range_pages(
-        &self,
-        hash: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        seen: &mut std::collections::HashSet<Hash>,
-        pages: &mut Vec<Bytes>,
-    ) -> Result<()> {
-        let page = self.store.try_get(&hash)?.ok_or(IndexError::MissingPage(hash))?;
-        let node = Node::decode(&page)?;
-        if seen.insert(hash) {
-            pages.push(page);
-        }
-        if let Node::Internal { children, .. } = node {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if siri_core::child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    self.collect_range_pages(c.hash, start, end, seen, pages)?;
-                }
-                prev = Some(c.max_key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify a range proof against a trusted branch digest (manifest or
-    /// bare root) — see [`siri_core::verify_anchored_range`].
-    pub fn verify_range(
-        digest: Hash,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        proof: &Proof,
-    ) -> siri_core::RangeVerdict {
-        siri_core::verify_anchored_range(&proof::PosProofScheme, digest, start, end, proof)
-    }
-
-    /// Verify a batched multi-key proof against a trusted branch digest —
-    /// see [`siri_core::verify_anchored_batch`].
-    pub fn verify_batch(digest: Hash, keys: &[Bytes], proof: &Proof) -> siri_core::BatchVerdict {
-        siri_core::verify_anchored_batch(&proof::PosProofScheme, digest, keys, proof)
+        routed::prove_range::<Node>(self.store.as_ref(), self.root, start, end)
     }
 }
 

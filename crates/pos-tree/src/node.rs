@@ -13,6 +13,7 @@
 //! the tree" under content addressing.
 
 use bytes::Bytes;
+use siri_core::routed::{ChildRef, NodeView, RoutedNode};
 use siri_core::{entry_codec, Entry, IndexError, Result};
 use siri_crypto::Hash;
 use siri_encoding::{ByteReader, ByteWriter, CodecError};
@@ -20,18 +21,11 @@ use siri_encoding::{ByteReader, ByteWriter, CodecError};
 const TAG_LEAF: u8 = 0x21;
 const TAG_INTERNAL: u8 = 0x22;
 
-/// Reference to a child node: the maximum key in its subtree + its digest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Piece {
-    pub max_key: Bytes,
-    pub hash: Hash,
-}
-
 /// Decoded POS-Tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     Leaf { salt: u64, entries: Vec<Entry> },
-    Internal { salt: u64, level: u32, children: Vec<Piece> },
+    Internal { salt: u64, level: u32, children: Vec<ChildRef> },
 }
 
 impl Node {
@@ -117,7 +111,7 @@ impl Node {
                     let max_key = page.slice(koff..koff + klen);
                     let hash = Hash::from_slice(r.get_raw(Hash::LEN)?)
                         .ok_or(IndexError::CorruptStructure("bad child digest length"))?;
-                    children.push(Piece { max_key, hash });
+                    children.push(ChildRef { max_key, hash });
                 }
                 r.finish()?;
                 if children.windows(2).any(|w| w[0].max_key >= w[1].max_key) {
@@ -145,26 +139,38 @@ impl Node {
     }
 }
 
-/// Route a key to a child slot: first child with `max_key >= key`, clamping
-/// beyond-max keys to the rightmost child.
-pub fn route(children: &[Piece], key: &[u8]) -> usize {
-    match children.binary_search_by(|c| c.max_key.as_ref().cmp(key)) {
-        Ok(i) => i,
-        Err(i) => i.min(children.len() - 1),
+impl RoutedNode for Node {
+    fn decode_zc(page: &Bytes) -> Result<Node> {
+        Node::decode_zc(page)
+    }
+
+    fn view(&self) -> NodeView<'_> {
+        match self {
+            Node::Leaf { entries, .. } => NodeView::Leaf(entries),
+            Node::Internal { children, .. } => NodeView::Internal(children),
+        }
+    }
+
+    fn level(&self) -> Option<u32> {
+        match self {
+            Node::Leaf { .. } => Some(0),
+            Node::Internal { level, .. } => Some(*level),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siri_core::routed::route;
     use siri_crypto::sha256;
 
     fn e(k: &str, v: &str) -> Entry {
         Entry::new(k.as_bytes().to_vec(), v.as_bytes().to_vec())
     }
 
-    fn p(k: &str, s: &str) -> Piece {
-        Piece { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(s.as_bytes()) }
+    fn p(k: &str, s: &str) -> ChildRef {
+        ChildRef { max_key: Bytes::copy_from_slice(k.as_bytes()), hash: sha256(s.as_bytes()) }
     }
 
     #[test]

@@ -1,130 +1,13 @@
-//! POS-Tree Merkle proofs: the root→leaf page path under max-key routing,
-//! plus the [`PagePool`] walkers behind range and batched proofs and the
-//! [`PosProofScheme`] glue that plugs them into the anchored verifiers.
+//! POS-Tree Merkle proofs: the shared key-routed walks of
+//! [`siri_core::routed`] over POS-Tree pages, plugged into the anchored
+//! verifiers through [`PosProofScheme`].
 
 use std::ops::Bound;
 
-use bytes::Bytes;
-use siri_core::{
-    bounds_contain, child_overlaps, Entry, PagePool, Proof, ProofScheme, ProofVerdict,
-};
-use siri_crypto::{sha256, Hash};
+use siri_core::{routed, Entry, PagePool, ProofScheme, ProofVerdict};
+use siri_crypto::Hash;
 
-use crate::node::{route, Node};
-
-pub(crate) fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-    if root.is_zero() {
-        return if proof.is_empty() {
-            ProofVerdict::Absent
-        } else {
-            ProofVerdict::Invalid("non-empty proof for empty tree")
-        };
-    }
-    let pages = proof.pages();
-    if pages.is_empty() {
-        return ProofVerdict::Invalid("empty proof for non-empty tree");
-    }
-    let mut expected = root;
-    for (depth, page) in pages.iter().enumerate() {
-        if sha256(page) != expected {
-            return ProofVerdict::Invalid("broken hash link");
-        }
-        let is_last = depth + 1 == pages.len();
-        match Node::decode(page) {
-            Ok(Node::Internal { children, .. }) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    // This (digest-checked) node already proves the key is
-                    // larger than everything stored below it.
-                    return if is_last {
-                        ProofVerdict::Absent
-                    } else {
-                        ProofVerdict::Invalid("pages after proven absence")
-                    };
-                }
-                if is_last {
-                    return ProofVerdict::Invalid("proof ends at internal node");
-                }
-                expected = children[route(&children, key)].hash;
-            }
-            Ok(Node::Leaf { entries, .. }) => {
-                if !is_last {
-                    return ProofVerdict::Invalid("leaf before end of proof");
-                }
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(Bytes::copy_from_slice(&entries[i].value)),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-    ProofVerdict::Invalid("proof exhausted before a leaf")
-}
-
-/// One key's root→leaf re-walk through a shared page pool — the batched-
-/// proof primitive. Termination needs no depth counter: every fetched page
-/// hashes to the digest that referenced it, so a cycle would be a SHA-256
-/// fixpoint.
-pub(crate) fn verify_key_pages(root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-    if root.is_zero() {
-        return ProofVerdict::Absent;
-    }
-    let mut expected = root;
-    loop {
-        let Some(page) = pool.get(&expected) else {
-            return ProofVerdict::Invalid("missing page in proof");
-        };
-        match Node::decode_zc(&page) {
-            Ok(Node::Internal { children, .. }) => {
-                if key > children.last().expect("non-empty").max_key.as_ref() {
-                    return ProofVerdict::Absent;
-                }
-                expected = children[route(&children, key)].hash;
-            }
-            Ok(Node::Leaf { entries, .. }) => {
-                return match entries.binary_search_by(|e| e.key.as_ref().cmp(key)) {
-                    Ok(i) => ProofVerdict::Present(entries[i].value.clone()),
-                    Err(_) => ProofVerdict::Absent,
-                };
-            }
-            Err(_) => return ProofVerdict::Invalid("page undecodable"),
-        }
-    }
-}
-
-/// Re-walk every subtree of `root` overlapping the bounds through the
-/// pool, appending in-bounds entries in key order. Mirrors the prover's
-/// pruning exactly via the shared [`child_overlaps`] predicate.
-pub(crate) fn verify_range_pages(
-    root: Hash,
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
-    pool: &mut PagePool,
-    out: &mut Vec<Entry>,
-) -> Result<(), &'static str> {
-    if root.is_zero() {
-        return Ok(());
-    }
-    let Some(page) = pool.get(&root) else {
-        return Err("missing page in proof");
-    };
-    match Node::decode_zc(&page).map_err(|_| "page undecodable")? {
-        Node::Leaf { entries, .. } => {
-            out.extend(entries.into_iter().filter(|e| bounds_contain(start, end, &e.key)));
-            Ok(())
-        }
-        Node::Internal { children, .. } => {
-            let mut prev: Option<Bytes> = None;
-            for c in children {
-                if child_overlaps(prev.as_deref(), &c.max_key, start, end) {
-                    verify_range_pages(c.hash, start, end, pool, out)?;
-                }
-                prev = Some(c.max_key);
-            }
-            Ok(())
-        }
-    }
-}
+use crate::node::Node;
 
 /// POS-Tree's [`ProofScheme`] — the dyn-safe handle clients verify with.
 pub struct PosProofScheme;
@@ -134,12 +17,8 @@ impl ProofScheme for PosProofScheme {
         "pos-tree"
     }
 
-    fn verify_membership(&self, root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
-        verify(root, key, proof)
-    }
-
     fn verify_key_pages(&self, root: Hash, key: &[u8], pool: &mut PagePool) -> ProofVerdict {
-        verify_key_pages(root, key, pool)
+        routed::verify_key_pages::<Node>(root, key, pool)
     }
 
     fn verify_range_pages(
@@ -150,7 +29,7 @@ impl ProofScheme for PosProofScheme {
         pool: &mut PagePool,
         out: &mut Vec<Entry>,
     ) -> Result<(), &'static str> {
-        verify_range_pages(root, start, end, pool, out)
+        routed::verify_range_pages::<Node>(root, start, end, pool, out)
     }
 }
 
@@ -158,7 +37,11 @@ impl ProofScheme for PosProofScheme {
 mod tests {
     use super::*;
     use crate::{PosParams, PosTree};
-    use siri_core::{Entry, MemStore, SiriIndex};
+    use siri_core::{verify_anchored_membership, MemStore, Proof, SiriIndex};
+
+    fn verify(root: Hash, key: &[u8], proof: &Proof) -> ProofVerdict {
+        verify_anchored_membership(&PosProofScheme, root, key, proof)
+    }
 
     fn tree() -> PosTree {
         let mut t = PosTree::new(MemStore::new_shared(), PosParams::default());
@@ -175,12 +58,12 @@ mod tests {
     fn presence_and_absence() {
         let t = tree();
         let p = t.prove(b"key01234").unwrap();
-        match PosTree::verify_proof(t.root(), b"key01234", &p) {
+        match verify(t.root(), b"key01234", &p) {
             ProofVerdict::Present(v) => assert_eq!(v.len(), 100),
             other => panic!("expected Present, got {other:?}"),
         }
         let p = t.prove(b"key01234x").unwrap();
-        assert_eq!(PosTree::verify_proof(t.root(), b"key01234x", &p), ProofVerdict::Absent);
+        assert_eq!(verify(t.root(), b"key01234x", &p), ProofVerdict::Absent);
     }
 
     #[test]
@@ -191,7 +74,7 @@ mod tests {
         for page in 0..proof.len() {
             let mut p = proof.clone();
             p.tamper(page, 21);
-            assert!(!PosTree::verify_proof(t.root(), b"key00999", &p).is_valid(), "page {page}");
+            assert!(!verify(t.root(), b"key00999", &p).is_valid(), "page {page}");
         }
     }
 
@@ -203,7 +86,7 @@ mod tests {
         v2.insert(b"key00999", bytes::Bytes::from_static(b"new")).unwrap();
         let p1 = v1.prove(b"key00999").unwrap();
         // The old proof must not verify the key against the *new* root.
-        let verdict = PosTree::verify_proof(v2.root(), b"key00999", &p1);
+        let verdict = verify(v2.root(), b"key00999", &p1);
         assert!(!verdict.is_valid());
     }
 
@@ -211,6 +94,6 @@ mod tests {
     fn empty_tree_proofs() {
         let t = PosTree::new(MemStore::new_shared(), PosParams::default());
         let p = t.prove(b"any").unwrap();
-        assert_eq!(PosTree::verify_proof(t.root(), b"any", &p), ProofVerdict::Absent);
+        assert_eq!(verify(t.root(), b"any", &p), ProofVerdict::Absent);
     }
 }

@@ -23,12 +23,13 @@
 //!   boundaries never migrate across old node ends. Cheap, but the
 //!   structure now depends on insertion history — deliberately non-SI.
 
+use siri_core::routed::ChildRef;
 use siri_core::{apply_ops, BatchOp, Entry, IndexError, Result};
 use siri_crypto::Hash;
 use siri_store::SharedStore;
 
 use crate::builder::{Builders, Item, LevelBuilder};
-use crate::node::{Node, Piece};
+use crate::node::Node;
 use crate::params::PosParams;
 
 fn fetch(store: &SharedStore, hash: &Hash) -> Result<Node> {
@@ -50,7 +51,7 @@ pub(crate) fn build_from_entries(
     params: &PosParams,
     salt: u64,
     entries: &[Entry],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
     let mut builders = Builders::new(store, params, salt);
     for e in entries {
         builders.push(0, Item::Entry(e.clone()))?;
@@ -67,14 +68,14 @@ pub(crate) fn streaming_update(
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
     if root.is_zero() {
         return build_from_entries(store, params, salt, &apply_ops(&[], edits));
     }
     if edits.is_empty() {
         let node = fetch(store, &root)?;
         let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty root"))?;
-        return Ok(Some(Piece { max_key, hash: root }));
+        return Ok(Some(ChildRef { max_key, hash: root }));
     }
     let mut builders = Builders::new(store, params, salt);
     let root_node = fetch(store, &root)?;
@@ -141,14 +142,14 @@ pub(crate) fn splice_update(
     salt: u64,
     root: Hash,
     edits: &[BatchOp],
-) -> Result<Option<Piece>> {
+) -> Result<Option<ChildRef>> {
     if root.is_zero() {
         return build_from_entries(store, params, salt, &apply_ops(&[], edits));
     }
     if edits.is_empty() {
         let node = fetch(store, &root)?;
         let max_key = node.max_key().ok_or(IndexError::CorruptStructure("empty root"))?;
-        return Ok(Some(Piece { max_key, hash: root }));
+        return Ok(Some(ChildRef { max_key, hash: root }));
     }
     let root_node = fetch(store, &root)?;
     let mut pieces = splice_rec(store, params, salt, &root_node, edits)?;
@@ -167,7 +168,7 @@ fn splice_rec(
     salt: u64,
     node: &Node,
     edits: &[BatchOp],
-) -> Result<Vec<Piece>> {
+) -> Result<Vec<ChildRef>> {
     match node {
         Node::Leaf { entries, .. } => {
             let merged = apply_ops(entries, edits);
@@ -185,7 +186,7 @@ fn splice_rec(
         }
         Node::Internal { children, level, .. } => {
             let mut rest = edits;
-            let mut new_children: Vec<Piece> = Vec::with_capacity(children.len() + 2);
+            let mut new_children: Vec<ChildRef> = Vec::with_capacity(children.len() + 2);
             for (slot, piece) in children.iter().enumerate() {
                 let last = slot + 1 == children.len();
                 let split = if last {
@@ -214,8 +215,8 @@ fn chunk_pieces(
     params: &PosParams,
     salt: u64,
     level: u32,
-    pieces: Vec<Piece>,
-) -> Result<Vec<Piece>> {
+    pieces: Vec<ChildRef>,
+) -> Result<Vec<ChildRef>> {
     let mut b = LevelBuilder::new(level, salt, params);
     let mut out = Vec::new();
     for p in pieces {

@@ -9,7 +9,9 @@
 use std::ops::Bound;
 
 use siri::workloads::eth::EthConfig;
-use siri::{Hash, MemStore, MerklePatriciaTrie, SiriIndex};
+use siri::{
+    verify_anchored_membership, Hash, MemStore, MerklePatriciaTrie, MptProofScheme, SiriIndex,
+};
 
 struct BlockHeader {
     number: u64,
@@ -38,7 +40,7 @@ fn main() -> siri::Result<()> {
     let tx_key = tx.hash_key();
     let full_node_view = MerklePatriciaTrie::open(store.clone(), chain[13].tx_root);
     let proof = full_node_view.prove(&tx_key)?;
-    let verdict = MerklePatriciaTrie::verify_proof(chain[13].tx_root, &tx_key, &proof);
+    let verdict = verify_anchored_membership(&MptProofScheme, chain[13].tx_root, &tx_key, &proof);
     println!(
         "inclusion proof for tx {}…: {} pages, verified: {}",
         &String::from_utf8_lossy(&tx_key)[..16],
@@ -85,7 +87,8 @@ fn main() -> siri::Result<()> {
         let view = MerklePatriciaTrie::open(store.clone(), header.tx_root);
         let key = eth.transaction(header.number, 0).hash_key();
         if let Ok(proof) = view.prove(&key) {
-            if !MerklePatriciaTrie::verify_proof(header.tx_root, &key, &proof).is_valid() {
+            if !verify_anchored_membership(&MptProofScheme, header.tx_root, &key, &proof).is_valid()
+            {
                 detected += 1;
             }
         } else {

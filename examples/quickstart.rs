@@ -5,7 +5,10 @@
 
 use std::ops::Bound;
 
-use siri::{Bytes, MemStore, MergeStrategy, PosParams, PosTree, SiriIndex, WriteBatch};
+use siri::{
+    verify_anchored_membership, Bytes, MemStore, MergeStrategy, PosParams, PosProofScheme, PosTree,
+    SiriIndex, WriteBatch,
+};
 
 fn main() -> siri::Result<()> {
     // One shared content-addressed store; every index version lives in it.
@@ -78,13 +81,13 @@ fn main() -> siri::Result<()> {
 
     // Tamper evidence: prove membership against the digest alone.
     let proof = accounts.prove(b"bob")?;
-    let verdict = PosTree::verify_proof(accounts.root(), b"bob", &proof);
+    let verdict = verify_anchored_membership(&PosProofScheme, accounts.root(), b"bob", &proof);
     println!("proof for bob ({} pages): {:?}", proof.len(), verdict.value().is_some());
 
     // A tampered proof is rejected.
     let mut bad = proof.clone();
     bad.tamper(0, 12);
-    assert!(!PosTree::verify_proof(accounts.root(), b"bob", &bad).is_valid());
+    assert!(!verify_anchored_membership(&PosProofScheme, accounts.root(), b"bob", &bad).is_valid());
     println!("tampered proof rejected ✓");
 
     // ── Persistence ─────────────────────────────────────────────────────

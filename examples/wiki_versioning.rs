@@ -6,7 +6,10 @@
 //! Run with: `cargo run --release --example wiki_versioning`
 
 use siri::workloads::wiki::WikiConfig;
-use siri::{MemStore, PosParams, PosTree, SiriIndex, VersionStore, WriteBatch};
+use siri::{
+    verify_anchored_membership, MemStore, PosParams, PosProofScheme, PosTree, SiriIndex,
+    VersionStore, WriteBatch,
+};
 
 fn main() -> siri::Result<()> {
     let wiki = WikiConfig { pages: 20_000, update_pct: 1, new_pages_per_version: 25, seed: 3 };
@@ -73,7 +76,7 @@ fn main() -> siri::Result<()> {
     // Proof that a specific revision of a page is in a specific version.
     let url = wiki.url(123);
     let proof = restored.prove(&url)?;
-    let verdict = PosTree::verify_proof(restored.root(), &url, &proof);
+    let verdict = verify_anchored_membership(&PosProofScheme, restored.root(), &url, &proof);
     println!(
         "membership proof for page 123 in the restored version: {} pages, ok={}",
         proof.len(),

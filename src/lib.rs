@@ -11,7 +11,8 @@
 //!
 //! ```
 //! use std::ops::Bound;
-//! use siri::{MemStore, PosParams, PosTree, SiriIndex, WriteBatch};
+//! use siri::{verify_anchored_membership, MemStore, PosParams, PosProofScheme, PosTree};
+//! use siri::{SiriIndex, WriteBatch};
 //!
 //! let store = MemStore::new_shared();
 //! let mut index = PosTree::new(store, PosParams::default());
@@ -37,7 +38,7 @@
 //!
 //! // The root digest is tamper-evident; proofs verify against it alone.
 //! let proof = index.prove(b"bob").unwrap();
-//! let verdict = PosTree::verify_proof(index.root(), b"bob", &proof);
+//! let verdict = verify_anchored_membership(&PosProofScheme, index.root(), b"bob", &proof);
 //! assert_eq!(verdict.value().unwrap().as_ref(), b"75");
 //! ```
 //!
@@ -47,7 +48,7 @@
 
 pub use siri_core::{
     apply_ops, bounds_contain, chain_cursors, child_overlaps, cost_model, diff_by_scan,
-    diff_sorted_entries, entry_codec, merge, merge_with_base, metrics, prefix_successor,
+    diff_sorted_entries, entry_codec, merge, merge_with_base, metrics, prefix_successor, routed,
     siri_properties, verify_anchored_batch, verify_anchored_membership, verify_anchored_range,
     BatchOp, BatchVerdict, Bytes, CacheStats, CommitInfo, DiffEntry, DiffSide, Entry, EntryCursor,
     Hash, IndexError, LookupTrace, MemStore, MergeOutcome, MergeStrategy, NodeStore, Op, PagePool,

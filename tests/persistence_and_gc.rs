@@ -43,7 +43,8 @@ fn pos_tree_survives_restart_on_file_store() {
     assert_eq!(t.get(&ycsb.key(42)).unwrap().unwrap(), ycsb.value(42, 0));
     // Proofs still verify against the persisted digest.
     let proof = t.prove(&ycsb.key(7)).unwrap();
-    assert!(PosTree::verify_proof(root, &ycsb.key(7), &proof).is_valid());
+    assert!(siri::verify_anchored_membership(&siri::PosProofScheme, root, &ycsb.key(7), &proof)
+        .is_valid());
 }
 
 #[test]

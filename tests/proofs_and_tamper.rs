@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use siri::workloads::YcsbConfig;
 use siri::{
-    Entry, MemStore, MerkleBucketTree, MerklePatriciaTrie, MvmbParams, MvmbTree, PosParams,
-    PosTree, ProofVerdict, SharedStore, SiriIndex,
+    verify_anchored_membership, Entry, MbtProofScheme, MemStore, MerkleBucketTree,
+    MerklePatriciaTrie, MptProofScheme, MvmbParams, MvmbProofScheme, MvmbTree, PosParams,
+    PosProofScheme, PosTree, ProofVerdict, SharedStore, SiriIndex,
 };
 
 fn dataset(n: usize) -> Vec<Entry> {
@@ -14,7 +15,7 @@ fn dataset(n: usize) -> Vec<Entry> {
 }
 
 macro_rules! proof_suite {
-    ($name:ident, $ty:ty, $make:expr) => {
+    ($name:ident, $ty:ty, $scheme:expr, $make:expr) => {
         #[test]
         fn $name() {
             let mem = Arc::new(MemStore::new());
@@ -30,7 +31,7 @@ macro_rules! proof_suite {
             for i in (0..1_500u64).step_by(333) {
                 let key = ycsb.key(i);
                 let proof = idx.prove(&key).unwrap();
-                match <$ty>::verify_proof(root, &key, &proof) {
+                match verify_anchored_membership(&$scheme, root, &key, &proof) {
                     ProofVerdict::Present(v) => {
                         assert_eq!(v, idx.get(&key).unwrap().unwrap(), "key {i}")
                     }
@@ -41,7 +42,10 @@ macro_rules! proof_suite {
             // Absent keys verify as absent — never as present.
             let absent = b"absolutely-not-a-key";
             let proof = idx.prove(absent).unwrap();
-            assert_eq!(<$ty>::verify_proof(root, absent, &proof), ProofVerdict::Absent);
+            assert_eq!(
+                verify_anchored_membership(&$scheme, root, absent, &proof),
+                ProofVerdict::Absent
+            );
 
             // Any single-bit flip anywhere in the proof is caught.
             let key = ycsb.key(777);
@@ -54,7 +58,7 @@ macro_rules! proof_suite {
                         continue; // tamper hit an identical bit pattern
                     }
                     assert!(
-                        !<$ty>::verify_proof(root, &key, &bad).is_valid(),
+                        !verify_anchored_membership(&$scheme, root, &key, &bad).is_valid(),
                         "tampered page {page} bit {bit} accepted"
                     );
                 }
@@ -63,7 +67,7 @@ macro_rules! proof_suite {
             // Proofs do not transfer across versions.
             let mut v2 = idx.clone();
             v2.insert(&key, bytes::Bytes::from_static(b"rewritten")).unwrap();
-            assert!(<$ty>::verify_proof(v2.root(), &key, &good).value().is_none());
+            assert!(verify_anchored_membership(&$scheme, v2.root(), &key, &good).value().is_none());
 
             // Failure injection: corrupt the root page in the store; a
             // freshly generated proof no longer verifies against the
@@ -71,7 +75,7 @@ macro_rules! proof_suite {
             assert!(mem.corrupt_page(&root, 42));
             match idx.prove(&key) {
                 Ok(proof) => {
-                    assert!(!<$ty>::verify_proof(root, &key, &proof).is_valid());
+                    assert!(!verify_anchored_membership(&$scheme, root, &key, &proof).is_valid());
                 }
                 Err(_) => {} // decode failure is also a detection
             }
@@ -79,10 +83,11 @@ macro_rules! proof_suite {
     };
 }
 
-proof_suite!(pos_tree_proofs, PosTree, |s| PosTree::new(s, PosParams::default()));
-proof_suite!(mpt_proofs, MerklePatriciaTrie, |s| MerklePatriciaTrie::new(s));
-proof_suite!(mbt_proofs, MerkleBucketTree, |s| MerkleBucketTree::new(s, 128, 8).unwrap());
-proof_suite!(mvmb_proofs, MvmbTree, |s| MvmbTree::new(s, MvmbParams::default()));
+proof_suite!(pos_tree_proofs, PosTree, PosProofScheme, |s| PosTree::new(s, PosParams::default()));
+proof_suite!(mpt_proofs, MerklePatriciaTrie, MptProofScheme, |s| MerklePatriciaTrie::new(s));
+proof_suite!(mbt_proofs, MerkleBucketTree, MbtProofScheme, |s| MerkleBucketTree::new(s, 128, 8)
+    .unwrap());
+proof_suite!(mvmb_proofs, MvmbTree, MvmbProofScheme, |s| MvmbTree::new(s, MvmbParams::default()));
 
 /// Regression (ISSUE 10 headline): on a sharded branch, `Session::prove`
 /// used to anchor at the *collapsed* logical root, which differs from

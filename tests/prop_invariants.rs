@@ -235,12 +235,12 @@ proptest! {
         let root = idx.root();
         for (k, v) in m.iter().take(5) {
             let proof = idx.prove(k).unwrap();
-            let verdict = siri::PosTree::verify_proof(root, k, &proof);
+            let verdict = siri::verify_anchored_membership(&siri::PosProofScheme, root, k, &proof);
             prop_assert_eq!(verdict.value().map(|b| b.as_ref()), Some(v.as_slice()));
         }
         let proof = idx.prove(b"\xff\xff\xff absent").unwrap();
         prop_assert!(matches!(
-            siri::PosTree::verify_proof(root, b"\xff\xff\xff absent", &proof),
+            siri::verify_anchored_membership(&siri::PosProofScheme, root, b"\xff\xff\xff absent", &proof),
             siri::ProofVerdict::Absent
         ));
     }

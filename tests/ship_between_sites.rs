@@ -146,6 +146,7 @@ fn shipped_proofs_verify_at_the_receiver() {
     .unwrap();
     let replica = PosTree::open(site_b.clone() as SharedStore, PosParams::default(), root);
     let proof = replica.prove(&ycsb.key(123)).unwrap();
-    assert!(PosTree::verify_proof(root, &ycsb.key(123), &proof).is_valid());
+    assert!(siri::verify_anchored_membership(&siri::PosProofScheme, root, &ycsb.key(123), &proof)
+        .is_valid());
     assert_eq!(site_b.stats().unique_pages, site_a.stats().unique_pages);
 }
